@@ -45,13 +45,6 @@ const char* site_name(FaultSite site) {
   return i < kSiteCount ? kSiteKeys[i] : "?";
 }
 
-bool FaultPlan::network_active() const {
-  return site(FaultSite::kNetDrop).active() ||
-         site(FaultSite::kNetDuplicate).active() ||
-         site(FaultSite::kNetReorder).active() ||
-         site(FaultSite::kNetDelay).active();
-}
-
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
   std::stringstream ss(spec);
@@ -176,17 +169,6 @@ FaultDecision FaultInjector::decide(int src, int dst, std::uint64_t seq,
     ++stats_.delays;
   }
   return d;
-}
-
-bool FaultInjector::drop_ack(int src, int dst, std::uint64_t ack_no) {
-  // Acks reuse the drop site's rate but roll on their own attempt plane
-  // (attempt = ~0 tags the tuple as an ack so data rolls never collide).
-  const SiteSpec& s = plan_.site(FaultSite::kNetDrop);
-  if (s.probability <= 0.0) return false;
-  const bool lost = roll(plan_.seed, FaultSite::kNetDrop, src, dst, ack_no,
-                         ~std::uint32_t{0}) < s.probability;
-  if (lost) ++stats_.drops;
-  return lost;
 }
 
 std::uint64_t FaultInjector::heater_stall_ns(std::uint64_t pass_no) {

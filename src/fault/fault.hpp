@@ -3,11 +3,13 @@
 // The deterministic fault-injection plane (DESIGN.md §12).
 //
 // The paper's matching results assume a perfectly reliable wire and an
-// always-on heater; both assumptions are exactly what a production
-// network runtime cannot make. This layer injects the failure modes a
-// real interconnect and a starved heater thread exhibit — message drop,
-// duplication, reordering, delay spikes, heater stalls — from a single
-// 64-bit seed, so every chaos run is reproducible from its report.
+// always-on heater; a production network stack can count on neither.
+// This layer injects the failure modes a real interconnect and a starved
+// heater thread exhibit — message drop, duplication, reordering, delay
+// spikes, heater stalls — from a single 64-bit seed, so every chaos run is
+// reproducible from its report. The sites that consult it are the OSU
+// driver's analytic chaos axis (workloads/osu.cpp), flow steering
+// (traffic/steering.cpp) and the native heater's stall hook.
 //
 // Determinism model: an injection decision is a *pure function* of
 // (seed, site, src, dst, seq, attempt), computed by hashing the tuple
@@ -25,9 +27,9 @@
 //    brown-out.
 //
 // Compiled out (SEMPERM_FAULT=0, the Release default) the injection
-// *sites* vanish: simmpi delivers directly, the heater never consults a
-// stall hook, and requesting a plan warns. The plan/stats types remain
-// available in every build so CLIs parse uniformly.
+// *sites* vanish: the heater never consults a stall hook, and requesting
+// a plan warns. The plan/stats types remain available in every build so
+// CLIs parse uniformly.
 #pragma once
 
 #include <array>
@@ -93,7 +95,6 @@ struct FaultPlan {
       if (s.active()) return true;
     return false;
   }
-  bool network_active() const;
 
   /// Parse "drop=0.05,dup=0.01,reorder=0.02,delay=0.01,stall=0.1,
   /// seed=1234" (any subset; also "drop@7" one-shot and
@@ -112,7 +113,7 @@ struct FaultDecision {
 };
 
 /// Injection counts, per injector. Plain counters: every injector is
-/// owned by a single thread (one per rank / one per heater).
+/// owned by a single thread (one per driver run / one per heater).
 struct FaultStats {
   std::uint64_t rolls = 0;
   std::uint64_t drops = 0;
@@ -121,67 +122,11 @@ struct FaultStats {
   std::uint64_t delays = 0;
   std::uint64_t heater_stalls = 0;
   std::uint64_t forced_deliveries = 0;  // drop suppressed by attempt cap
-
-  void merge(const FaultStats& o) {
-    rolls += o.rolls;
-    drops += o.drops;
-    duplicates += o.duplicates;
-    reorders += o.reorders;
-    delays += o.delays;
-    heater_stalls += o.heater_stalls;
-    forced_deliveries += o.forced_deliveries;
-  }
-};
-
-/// Transport-layer accounting of the simmpi reliability sublayer
-/// (DESIGN.md §12 conservation identity):
-///
-///   frames_sent + retransmissions + dup_copies
-///     == wire_drops + dup_suppressed + delivered        (at quiesce)
-///
-/// Every transmission put on the wire is eventually exactly one of
-/// dropped-by-injector, suppressed-as-duplicate, or delivered in order
-/// to the protocol layer; and delivered == frames_sent once the
-/// runtime has quiesced (no parked or held frames remain).
-struct WireStats {
-  std::uint64_t frames_sent = 0;      // unique sequenced frames
-  std::uint64_t retransmissions = 0;  // extra attempts of unique frames
-  std::uint64_t dup_copies = 0;       // injector-made extra copies
-  std::uint64_t wire_drops = 0;       // transmissions dropped by injector
-  std::uint64_t delivered = 0;        // in-order handoffs to the protocol
-  std::uint64_t dup_suppressed = 0;   // receiver-side duplicate discards
-  std::uint64_t parked = 0;           // out-of-order frames buffered
-  std::uint64_t acks_sent = 0;
-  std::uint64_t ack_drops = 0;        // acks lost to the injector
-  std::uint64_t forced_deliveries = 0;
-
-  void merge(const WireStats& o) {
-    frames_sent += o.frames_sent;
-    retransmissions += o.retransmissions;
-    dup_copies += o.dup_copies;
-    wire_drops += o.wire_drops;
-    delivered += o.delivered;
-    dup_suppressed += o.dup_suppressed;
-    parked += o.parked;
-    acks_sent += o.acks_sent;
-    ack_drops += o.ack_drops;
-    forced_deliveries += o.forced_deliveries;
-  }
-
-  /// Left and right sides of the conservation identity. Acks are
-  /// unsequenced fire-and-forget frames and sit outside it.
-  std::uint64_t transmissions() const {
-    return frames_sent + retransmissions + dup_copies;
-  }
-  std::uint64_t accounted() const {
-    return wire_drops + dup_suppressed + delivered;
-  }
-  bool conserved() const { return transmissions() == accounted(); }
 };
 
 /// Stateless decision engine over one plan. Thread-compatible: decide()
-/// mutates only the owner's counters, so give each rank (and the
-/// heater) its own injector over the same plan.
+/// mutates only the owner's counters, so give each thread that injects
+/// its own injector over the same plan.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan) {}
@@ -190,10 +135,6 @@ class FaultInjector {
   /// on the pair src->dst. Pure in (plan.seed, src, dst, seq, attempt).
   FaultDecision decide(int src, int dst, std::uint64_t seq,
                        std::uint32_t attempt);
-
-  /// Should this ack transmission be lost? `ack_no` is the pair's ack
-  /// counter (acks are not retransmitted; re-acks roll fresh).
-  bool drop_ack(int src, int dst, std::uint64_t ack_no);
 
   /// Should heater pass `pass_no` stall, and for how long? Returns the
   /// stall in ns (0 = run normally).

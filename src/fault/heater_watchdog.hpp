@@ -1,6 +1,6 @@
 // semperm/fault/heater_watchdog.hpp
 //
-// Resilience companion to the heater (DESIGN.md §12.3): a watchdog that
+// Resilience companion to the heater (DESIGN.md §12.2): a watchdog that
 // detects a lagging heater — passes not completing on schedule because
 // the heater core is preempted, starved, or stalled by fault injection —
 // and degrades the heating service gracefully instead of letting a

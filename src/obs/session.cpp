@@ -12,8 +12,6 @@ const char* category_name(Category cat) {
       return "match";
     case Category::kHeater:
       return "heater";
-    case Category::kMpi:
-      return "mpi";
     case Category::kApp:
       return "app";
     case Category::kTraffic:

@@ -50,7 +50,6 @@ enum class Category : std::uint8_t {
   kCoherence,  // MESI transitions, interventions, lock transfers
   kMatch,      // match-attempt spans, queue-depth gauges
   kHeater,     // heater passes (simulated and native)
-  kMpi,        // simmpi send/recv spans
   kApp,        // workload phase markers (compute phase, iteration)
   kTraffic,    // flow-cache epochs, flash-crowd markers, live-flow gauges
   kResilience,  // admission rejects, shed on/off edges, ladder transitions

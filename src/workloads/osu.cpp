@@ -151,10 +151,11 @@ struct Bench {
   }
 
   /// Extra wire time for one message under the chaos plan. A drop is
-  /// re-rolled along the transport's attempt chain: each failed attempt
-  /// costs a retransmit timeout plus the retransfer (decide() forces
-  /// delivery at max_drop_attempts, so the loop terminates). A surviving
-  /// duplicate puts one extra copy on the wire; a delay spike lands as-is.
+  /// re-rolled along a stop-and-retransmit attempt chain: each failed
+  /// attempt costs a retransmit timeout plus the retransfer (decide()
+  /// forces delivery at max_drop_attempts, so the loop terminates). A
+  /// surviving duplicate puts one extra copy on the wire; a delay spike
+  /// lands as-is.
   double fault_wire_extra_ns(double per_msg_wire_ns) {
     if (!injector) return 0.0;
     double extra = 0.0;

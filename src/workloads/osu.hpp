@@ -57,7 +57,7 @@ struct OsuParams {
   std::size_t heater_capacity_bytes = 0;  // 0 = half the LLC
   std::uint64_t seed = kOsuDefaultSeed;
   /// Chaos axis (DESIGN.md §12): when set and active, each message rolls
-  /// the same pure splitmix64 fate the simmpi transport rolls. Drops cost
+  /// a pure splitmix64 fate from fault::FaultInjector::decide(). Drops cost
   /// a retransmit round (timeout + retransfer + latency) per failed
   /// attempt, duplicates put an extra copy on the wire, delay spikes
   /// arrive late, and heater-stall rolls skip that iteration's refresh —

@@ -1,6 +1,6 @@
 // The matching protocol: UMQ-first on post, PRQ-first on arrival,
-// completion bookkeeping, reserved-identity policing, and Fig.-1-style
-// sampling.
+// completion bookkeeping, reserved-identity policing, Fig.-1-style
+// sampling, and dwell-time (time-in-queue) statistics.
 
 #include "match/engine.hpp"
 
@@ -121,6 +121,52 @@ INSTANTIATE_TEST_SUITE_P(Kinds, EngineTest,
                              if (c == '-') c = '_';
                            return name;
                          });
+
+// --- dwell-time statistics (engine ticks between enqueue and match) ------
+
+TEST(DwellStats, PostedReceivesMeasureWait) {
+  NativeMem mem;
+  memlayout::AddressSpace space;
+  auto bundle = make_engine(mem, space, QueueConfig::from_label("baseline"));
+  MatchRequest r1(RequestKind::kRecv, 1);
+  MatchRequest r2(RequestKind::kRecv, 2);
+  bundle->post_recv(Pattern::make(1, 10, 0), &r1);  // tick 1
+  bundle->post_recv(Pattern::make(1, 11, 0), &r2);  // tick 2
+  MatchRequest m1(RequestKind::kUnexpected, 3);
+  MatchRequest m2(RequestKind::kUnexpected, 4);
+  bundle->incoming(Envelope{11, 1, 0}, &m1);  // tick 3: r2 waited 1
+  bundle->incoming(Envelope{10, 1, 0}, &m2);  // tick 4: r1 waited 3
+  const auto& dwell = bundle->prq_dwell().dwell();
+  EXPECT_EQ(dwell.count(), 2u);
+  EXPECT_DOUBLE_EQ(dwell.min(), 1.0);
+  EXPECT_DOUBLE_EQ(dwell.max(), 3.0);
+  EXPECT_EQ(bundle->ticks(), 4u);
+}
+
+TEST(DwellStats, UnexpectedMessagesMeasureBufferTime) {
+  NativeMem mem;
+  memlayout::AddressSpace space;
+  auto bundle = make_engine(mem, space, QueueConfig::from_label("lla-8"));
+  MatchRequest m(RequestKind::kUnexpected, 1);
+  bundle->incoming(Envelope{5, 2, 0}, &m);  // tick 1
+  MatchRequest decoy(RequestKind::kRecv, 2);
+  bundle->post_recv(Pattern::make(9, 9, 0), &decoy);  // tick 2
+  MatchRequest r(RequestKind::kRecv, 3);
+  bundle->post_recv(Pattern::make(2, 5, 0), &r);  // tick 3: dwelt 2
+  const auto& dwell = bundle->umq_dwell().dwell();
+  EXPECT_EQ(dwell.count(), 1u);
+  EXPECT_DOUBLE_EQ(dwell.mean(), 2.0);
+}
+
+TEST(DwellStats, EmptyUntilMatches) {
+  NativeMem mem;
+  memlayout::AddressSpace space;
+  auto bundle = make_engine(mem, space, QueueConfig::from_label("baseline"));
+  MatchRequest r(RequestKind::kRecv, 1);
+  bundle->post_recv(Pattern::make(1, 1, 0), &r);
+  EXPECT_EQ(bundle->prq_dwell().dwell().count(), 0u);
+  EXPECT_EQ(bundle->umq_dwell().dwell().count(), 0u);
+}
 
 }  // namespace
 }  // namespace semperm::match

@@ -1,4 +1,4 @@
-// The heater watchdog (DESIGN.md §12.3): deterministic ladder walks
+// The heater watchdog (DESIGN.md §12.2): deterministic ladder walks
 // driven by synthetic clocks, seeded stall detection through the
 // fault-injection seam, recovery-by-probation from the self-paused
 // level, the region-priority degradation lever, and a race test of

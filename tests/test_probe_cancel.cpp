@@ -1,13 +1,11 @@
 // MPI_Probe / MPI_Cancel semantics: non-destructive peek and
-// removal-by-request, across every queue structure, the engine, and the
-// runtime.
+// removal-by-request, across every queue structure and the engine.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "match/factory.hpp"
-#include "simmpi/runtime.hpp"
 
 namespace semperm {
 namespace {
@@ -123,75 +121,6 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, PeekRemoveTest,
                              if (c == '-') c = '_';
                            return name;
                          });
-
-// --- runtime-level iprobe / cancel ---------------------------------------
-
-TEST(RuntimeProbe, IprobeSeesBufferedMessage) {
-  simmpi::Runtime rt(2, match::QueueConfig::from_label("baseline"));
-  rt.run([](simmpi::Comm& c) {
-    if (c.rank() == 0) {
-      c.send_value<double>(1, 5, 2.5);
-      c.barrier();
-    } else {
-      c.barrier();  // message has surely arrived
-      c.progress();
-      const auto st = c.iprobe(0, 5);
-      ASSERT_TRUE(st.has_value());
-      EXPECT_EQ(st->source, 0);
-      EXPECT_EQ(st->tag, 5);
-      EXPECT_EQ(st->bytes, sizeof(double));
-      // Probe is non-destructive: the receive still gets the payload.
-      EXPECT_DOUBLE_EQ(c.recv_value<double>(0, 5), 2.5);
-      EXPECT_FALSE(c.iprobe(0, 5).has_value());
-    }
-  });
-}
-
-TEST(RuntimeProbe, IprobeMissesAbsentTraffic) {
-  simmpi::Runtime rt(1, match::QueueConfig::from_label("lla-8"));
-  rt.run([](simmpi::Comm& c) {
-    EXPECT_FALSE(c.iprobe(simmpi::kAnySource, simmpi::kAnyTag).has_value());
-  });
-}
-
-TEST(RuntimeCancel, CancelledReceiveLeavesMessageUnexpected) {
-  simmpi::Runtime rt(2, match::QueueConfig::from_label("baseline"));
-  rt.run([](simmpi::Comm& c) {
-    if (c.rank() == 0) {
-      int sink = -1;
-      simmpi::Request r =
-          c.irecv(1, 9, std::as_writable_bytes(std::span<int>(&sink, 1)));
-      EXPECT_TRUE(c.cancel(r));
-      EXPECT_FALSE(r.valid());
-      c.barrier();  // now the message arrives with no posted receive
-      // It must be retrievable by a fresh receive (it sat unexpected).
-      EXPECT_EQ(c.recv_value<int>(1, 9), 77);
-    } else {
-      c.barrier();
-      c.send_value<int>(0, 9, 77);
-    }
-  });
-}
-
-TEST(RuntimeCancel, CancelAfterCompletionFails) {
-  simmpi::Runtime rt(2, match::QueueConfig::from_label("baseline"));
-  rt.run([](simmpi::Comm& c) {
-    if (c.rank() == 0) {
-      int v = -1;
-      simmpi::Request r =
-          c.irecv(1, 3, std::as_writable_bytes(std::span<int>(&v, 1)));
-      c.barrier();   // sender has sent; message delivered
-      c.progress();  // match it
-      EXPECT_FALSE(c.cancel(r));  // too late: completed
-      const simmpi::Status st = c.wait(r);
-      EXPECT_EQ(st.tag, 3);
-      EXPECT_EQ(v, 11);
-    } else {
-      c.send_value<int>(0, 3, 11);
-      c.barrier();
-    }
-  });
-}
 
 }  // namespace
 }  // namespace semperm
