@@ -30,6 +30,10 @@ TEST(MesiTest, StateNames) {
 TEST(CoherentHierarchyTest, RejectsZeroAndTooManyCores) {
   EXPECT_THROW(CoherentHierarchy(sandy_bridge(), 0), std::logic_error);
   EXPECT_THROW(CoherentHierarchy(sandy_bridge(), 65), std::logic_error);
+  // Core indices are bounds-checked too: a state query for a core past
+  // the last one must not index the sharer bitmap out of range.
+  const CoherentHierarchy h(sandy_bridge(), 2);
+  EXPECT_THROW(h.state(2, /*line=*/0x40), std::logic_error);
 }
 
 TEST(CoherentHierarchyTest, FirstReadFillsExclusive) {
