@@ -68,51 +68,56 @@ std::uint64_t CoherentHierarchy::remote_sharers(unsigned core,
 }
 
 int CoherentHierarchy::remote_modified(unsigned core, Addr line) const {
-  // The directory carries the unique Modified holder (at most one exists
-  // under MESI), so this is one probe rather than a per-core state walk.
   const auto it = directory_.find(line);
-  if (it == directory_.end()) return -1;
+  if (it == directory_.end() || !it->second.dirty) return -1;
   const int owner = it->second.owner;
-  return (owner >= 0 && owner != static_cast<int>(core)) ? owner : -1;
+  return owner != static_cast<int>(core) ? owner : -1;
 }
 
 void CoherentHierarchy::set_state(unsigned core, Addr line, MesiState st) {
+  DirEntry& e = directory_[line];
 #if SEMPERM_AUDIT
-  check::require_mesi_transition(state(core, line), st, core, line);
+  SEMPERM_AUDIT_CHECK(st != MesiState::kInvalid,
+                      "set_state(I) for line " << line
+                          << ": only drop_sharer may invalidate");
+  check::require_mesi_transition(e.state_of(core), st, core, line);
 #endif
   SEMPERM_TRACE_ONLY(
       if (semperm::obs::trace_on()) {
-        const MesiState from = state(core, line);
+        const MesiState from = e.state_of(core);
         if (from != st)
           SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence,
                                 mesi_transition_name(from, st), 0, line,
                                 static_cast<double>(core));
       })
   SEMPERM_PROF_COUNT(kMesiTransition);
-  cores_[core].state[line] = st;
-  DirEntry& e = directory_[line];
   e.sharers |= bit(core);
-  if (st == MesiState::kModified)
+  if (st != MesiState::kShared) {
     e.owner = static_cast<int>(core);
-  else if (e.owner == static_cast<int>(core))
+    e.dirty = st == MesiState::kModified;
+  } else if (e.owner == static_cast<int>(core)) {
     e.owner = -1;
+    e.dirty = false;
+  }
 }
 
 void CoherentHierarchy::drop_sharer(unsigned core, Addr line) {
+  const auto it = directory_.find(line);
   SEMPERM_TRACE_ONLY(
-      if (semperm::obs::trace_on()) {
-        const MesiState from = state(core, line);
+      if (semperm::obs::trace_on() && it != directory_.end()) {
+        const MesiState from = it->second.state_of(core);
         if (from != MesiState::kInvalid)
           SEMPERM_TRACE_INSTANT(semperm::obs::Category::kCoherence,
                                 mesi_transition_name(from, MesiState::kInvalid),
                                 0, line, static_cast<double>(core));
       })
   SEMPERM_PROF_COUNT(kMesiTransition);
-  cores_[core].state.erase(line);
-  const auto it = directory_.find(line);
   if (it == directory_.end()) return;
   it->second.sharers &= ~bit(core);
-  if (it->second.owner == static_cast<int>(core)) it->second.owner = -1;
+  if (it->second.owner == static_cast<int>(core)) {
+    it->second.owner = -1;
+    it->second.dirty = false;
+  }
   if (it->second.sharers == 0) {
     directory_.erase(it);
     // No private copy remains, so the line can no longer be an inclusion
@@ -122,13 +127,15 @@ void CoherentHierarchy::drop_sharer(unsigned core, Addr line) {
 }
 
 void CoherentHierarchy::invalidate_remotes(unsigned core, Addr line) {
-  std::uint64_t rem = remote_sharers(core, line);
+  const auto it = directory_.find(line);
+  if (it == directory_.end()) return;
+  // A copy: drop_sharer below erases the entry with its last sharer.
+  const DirEntry e = it->second;
+  std::uint64_t rem = e.sharers & ~bit(core);
   while (rem != 0) {
     const unsigned c = static_cast<unsigned>(std::countr_zero(rem));
     rem &= rem - 1;
-    const auto it = cores_[c].state.find(line);
-    if (it != cores_[c].state.end() &&
-        it->second == MesiState::kModified) {
+    if (e.state_of(c) == MesiState::kModified) {
       // Write the dirty data back into the shared level before dropping.
       ++coh_.dirty_writebacks;
       SEMPERM_PROF_COUNT(kWriteback);
@@ -178,12 +185,13 @@ void CoherentHierarchy::on_llc_evict(const SetAssocCache::EvictedWay& ev) {
   // Inclusive LLC: the victim may not live in any private cache either.
   const auto it = directory_.find(ev.line);
   if (it == directory_.end()) return;
-  std::uint64_t sharers = it->second.sharers;
+  // A copy: drop_sharer below erases the entry with its last sharer.
+  const DirEntry e = it->second;
+  std::uint64_t sharers = e.sharers;
   while (sharers != 0) {
     const unsigned c = static_cast<unsigned>(std::countr_zero(sharers));
     sharers &= sharers - 1;
-    const auto st = cores_[c].state.find(ev.line);
-    if (st != cores_[c].state.end() && st->second == MesiState::kModified) {
+    if (e.state_of(c) == MesiState::kModified) {
       ++coh_.dirty_writebacks;  // drains to DRAM; LLC copy is already gone
       SEMPERM_PROF_COUNT(kWriteback);
     }
@@ -256,17 +264,21 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
     }
   } else {
     // Private miss: the directory arbitrates before the shared level does.
-    // One probe yields both answers (remote_modified + remote_sharers
-    // would each walk the same entry).
+    // One probe yields the remote sharers and the remote E/M owner, if
+    // any (MESI allows at most one).
     int owner = -1;
+    bool owner_dirty = false;
     std::uint64_t remotes = 0;
     SEMPERM_PROF_COUNT(kDirLookup);
     if (const auto dit = directory_.find(line); dit != directory_.end()) {
       remotes = dit->second.sharers & ~bit(core);
       const int o = dit->second.owner;
-      if (o >= 0 && o != static_cast<int>(core)) owner = o;
+      if (o >= 0 && o != static_cast<int>(core)) {
+        owner = o;
+        owner_dirty = dit->second.dirty;
+      }
     }
-    if (owner >= 0) {
+    if (owner >= 0 && owner_dirty) {
       // Cache-to-cache intervention out of a remote Modified copy. The
       // owner writes back into the shared level and downgrades (M→S on a
       // read, M→I on a write).
@@ -297,21 +309,14 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
           cost += arch_.snoop_latency;
           SEMPERM_PROF_ADD(kWriteInvalidate, arch_.snoop_latency);
           invalidate_remotes(core, line);
-        } else {
-          // A remote Exclusive copy must observe the read and downgrade;
+        } else if (owner >= 0) {
+          // The remote Exclusive copy must observe the read and downgrade;
           // Shared copies need no action (directory filters the snoop).
-          std::uint64_t rem = remotes;
-          while (rem != 0) {
-            const unsigned c = static_cast<unsigned>(std::countr_zero(rem));
-            rem &= rem - 1;
-            if (state(c, line) == MesiState::kExclusive) {
-              set_state(c, line, MesiState::kShared);
-              ++coh_.snoops;
-              ++coh_.clean_downgrades;
-              cost += arch_.snoop_latency;
-              SEMPERM_PROF_ADD(kCleanDowngrade, arch_.snoop_latency);
-            }
-          }
+          set_state(static_cast<unsigned>(owner), line, MesiState::kShared);
+          ++coh_.snoops;
+          ++coh_.clean_downgrades;
+          cost += arch_.snoop_latency;
+          SEMPERM_PROF_ADD(kCleanDowngrade, arch_.snoop_latency);
         }
       }
     } else if (remotes != 0) {
@@ -324,16 +329,9 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
       SEMPERM_PROF_ADD(kRemoteForward, cost);
       if (write) {
         invalidate_remotes(core, line);
-      } else {
-        std::uint64_t rem = remotes;
-        while (rem != 0) {
-          const unsigned c = static_cast<unsigned>(std::countr_zero(rem));
-          rem &= rem - 1;
-          if (state(c, line) == MesiState::kExclusive) {
-            set_state(c, line, MesiState::kShared);
-            ++coh_.clean_downgrades;
-          }
-        }
+      } else if (owner >= 0) {
+        set_state(static_cast<unsigned>(owner), line, MesiState::kShared);
+        ++coh_.clean_downgrades;
       }
       if (llc_) llc_fill(line, FillReason::kDemand, /*dirty=*/false);
     } else {
@@ -379,7 +377,7 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
 
   // Before the prefetchers run (they may legitimately evict the accessed
   // line again), the line is resident in L1 and must carry MESI state.
-  SEMPERM_AUDIT_CHECK(cs.state.find(line) != cs.state.end(),
+  SEMPERM_AUDIT_CHECK(state(core, line) != MesiState::kInvalid,
                       "core " << core << " finished an access to line " << line
                               << " without MESI state");
   run_prefetchers(core, obs);
@@ -405,8 +403,7 @@ void CoherentHierarchy::prefetch_fill(unsigned core,
   // A prefetch that snoop-hits another core's copy is squashed (hardware
   // prefetchers do not trigger interventions). With one core this path is
   // identical to the single-core Hierarchy's. One directory probe answers
-  // both questions: the audit pins bitmap == per-core state maps, so
-  // bit(core) doubles as "this core already holds private MESI state".
+  // both questions: bit(core) is "this core already holds the line".
   std::uint64_t sharers = 0;
   if (const auto dit = directory_.find(req.line); dit != directory_.end())
     sharers = dit->second.sharers;
@@ -490,11 +487,11 @@ void CoherentHierarchy::pollute(unsigned core, std::size_t bytes) {
   CoreStack& cs = cores_[core];
   // The polluting core's private stack is wrecked outright. The flush of
   // its L1/L2 below counts the dirty-way writebacks, mirroring the
-  // single-core pollute(); clearing the state map is a local event, not
+  // single-core pollute(); dropping its sharer bits is a local event, not
   // protocol traffic.
   std::vector<Addr> mine;
-  mine.reserve(cs.state.size());
-  for (const auto& [line, st] : cs.state) mine.push_back(line);
+  for (const auto& [line, entry] : directory_)
+    if ((entry.sharers & bit(core)) != 0) mine.push_back(line);
   for (Addr line : mine) drop_sharer(core, line);
   cs.l1.flush();
   cs.l2.flush();
@@ -515,20 +512,20 @@ void CoherentHierarchy::flush_all() {
   for (auto& cs : cores_) {
     cs.l1.flush();
     cs.l2.flush();
-    // Wholesale reset of all line state; per-line transitions (all → I) are
-    // trivially legal.
-    cs.state.clear();  // semperm-analyze: allow(audit-mesi-bypass) -- wholesale flush: every per-line transition is -> I, trivially legal without the transition check
     cs.streamer.reset();
   }
   if (llc_) llc_->flush();
-  directory_.clear();
+  // Wholesale reset of all line state; per-line transitions (all → I) are
+  // trivially legal.
+  directory_.clear();  // semperm-analyze: allow(audit-mesi-bypass) -- wholesale flush: every per-line transition is -> I, trivially legal without the transition check
   SEMPERM_AUDIT_ONLY(audit_noninclusive_.clear();)
 }
 
 MesiState CoherentHierarchy::state(unsigned core, Addr line) const {
-  const auto& st = cores_.at(core).state;
-  const auto it = st.find(line);
-  return it == st.end() ? MesiState::kInvalid : it->second;
+  SEMPERM_ASSERT(core < cores());
+  const auto it = directory_.find(line);
+  return it == directory_.end() ? MesiState::kInvalid
+                                : it->second.state_of(core);
 }
 
 bool CoherentHierarchy::privately_resident(unsigned core, Addr line) const {
@@ -563,53 +560,32 @@ LlcOccupancy CoherentHierarchy::llc_occupancy() const {
 #if SEMPERM_AUDIT
 void CoherentHierarchy::audit_line(Addr line) const {
   const auto dit = directory_.find(line);
-  const std::uint64_t bitmap =
-      dit == directory_.end() ? 0 : dit->second.sharers;
-  SEMPERM_AUDIT_CHECK(dit == directory_.end() || bitmap != 0,
-                      "directory entry for line " << line
-                          << " has an empty sharer bitmap");
-  std::uint64_t derived = 0;
-  unsigned holders = 0;
-  unsigned owners = 0;
-  int derived_modified = -1;
-  for (unsigned c = 0; c < cores(); ++c) {
-    const auto it = cores_[c].state.find(line);
-    if (it == cores_[c].state.end()) continue;
-    SEMPERM_AUDIT_CHECK(it->second != MesiState::kInvalid,
-                        "core " << c << " stores an explicit Invalid for line "
-                                << line
-                                << " (absence is the only Invalid encoding)");
-    derived |= bit(c);
-    ++holders;
-    if (it->second == MesiState::kModified)
-      derived_modified = static_cast<int>(c);
-    if (it->second == MesiState::kModified ||
-        it->second == MesiState::kExclusive)
-      ++owners;
+  if (dit == directory_.end()) return;  // no private copy anywhere
+  const DirEntry& e = dit->second;
+  SEMPERM_AUDIT_CHECK(e.sharers != 0, "directory entry for line "
+                                          << line
+                                          << " has an empty sharer bitmap");
+  SEMPERM_AUDIT_CHECK(e.owner < static_cast<int>(cores()),
+                      "line " << line << " has out-of-range owner core "
+                              << e.owner);
+  SEMPERM_AUDIT_CHECK(
+      e.owner < 0 || e.sharers == bit(static_cast<unsigned>(e.owner)),
+      "line " << line << ": Exclusive/Modified owner core " << e.owner
+              << " is not the only sharer (bitmap 0x" << std::hex
+              << e.sharers << std::dec << ")");
+  SEMPERM_AUDIT_CHECK(!e.dirty || e.owner >= 0,
+                      "line " << line << " is dirty without an E/M owner");
+  for (std::uint64_t rem = e.sharers; rem != 0; rem &= rem - 1) {
+    const unsigned c = static_cast<unsigned>(std::countr_zero(rem));
+    SEMPERM_AUDIT_CHECK(c < cores(), "line " << line
+                                             << " has a sharer bit for core "
+                                             << c << " of " << cores());
     SEMPERM_AUDIT_CHECK(
         cores_[c].l1.contains(line) || cores_[c].l2.contains(line),
-        "core " << c << " holds MESI state " << to_string(it->second)
+        "core " << c << " holds MESI state " << to_string(e.state_of(c))
                 << " for line " << line << " without a private copy");
   }
-  SEMPERM_AUDIT_CHECK(derived == bitmap,
-                      "directory sharer bitmap 0x"
-                          << std::hex << bitmap
-                          << " disagrees with per-core states 0x" << derived
-                          << std::dec << " for line " << line);
-  SEMPERM_AUDIT_CHECK(owners <= 1, "line " << line << " has " << owners
-                                           << " Exclusive/Modified owners");
-  SEMPERM_AUDIT_CHECK(
-      (dit == directory_.end() ? -1 : dit->second.owner) == derived_modified,
-      "directory Modified-owner " << (dit == directory_.end()
-                                          ? -1
-                                          : dit->second.owner)
-                                  << " disagrees with per-core states ("
-                                  << derived_modified << ") for line " << line);
-  SEMPERM_AUDIT_CHECK(
-      owners == 0 || holders == 1,
-      "line " << line
-              << " mixes an Exclusive/Modified owner with other sharers");
-  if (llc_ && holders > 0 && !llc_->contains(line))
+  if (llc_ && !llc_->contains(line))
     SEMPERM_AUDIT_CHECK(
         audit_noninclusive_.count(line) != 0,
         "LLC inclusion violated for line "
@@ -622,17 +598,9 @@ void CoherentHierarchy::audit_line(Addr line) const {
 void CoherentHierarchy::audit() const {
 #if SEMPERM_AUDIT
   for (const auto& [line, entry] : directory_) audit_line(line);
-  for (unsigned c = 0; c < cores(); ++c) {
-    for (const auto& [line, st] : cores_[c].state) {
-      const auto dit = directory_.find(line);
-      SEMPERM_AUDIT_CHECK(
-          dit != directory_.end() && (dit->second.sharers & bit(c)) != 0,
-          "core " << c << " holds MESI state " << to_string(st)
-                  << " for line " << line << " that the directory"
-                  << " does not track");
-    }
-    cores_[c].l1.audit();
-    cores_[c].l2.audit();
+  for (const CoreStack& cs : cores_) {
+    cs.l1.audit();
+    cs.l2.audit();
   }
   if (llc_) llc_->audit();
   SEMPERM_AUDIT_CHECK(coh_.upgrades <= coh_.snoops,
@@ -646,11 +614,12 @@ void CoherentHierarchy::audit() const {
 }
 
 #if SEMPERM_AUDIT
-void CoherentHierarchy::audit_corrupt_state_for_test(unsigned core, Addr line,
-                                                     MesiState st) {
-  // Deliberately bypasses set_state: no legality check, no directory
-  // update. The next audit of `line` must throw.
-  cores_.at(core).state[line] = st;  // semperm-analyze: allow(audit-mesi-bypass) -- deliberate corruption seam for the audit tests: bypassing set_state IS the point
+void CoherentHierarchy::audit_corrupt_state_for_test(Addr line,
+                                                     std::uint64_t sharers,
+                                                     int owner, bool dirty) {
+  // Deliberately bypasses set_state/drop_sharer: no legality check, no
+  // invariant upkeep. An invariant-breaking record must fail the audit.
+  directory_[line] = DirEntry{sharers, owner, dirty};  // semperm-analyze: allow(audit-mesi-bypass) -- deliberate corruption seam for the audit tests: bypassing set_state IS the point
 }
 #endif
 

@@ -2,8 +2,8 @@
 //
 // Multi-core coherent cache hierarchy: N per-core private L1/L2 stacks
 // (each a cachesim::SetAssocCache with the architecture's prefetchers)
-// over one shared, inclusive LLC, with MESI line states and a
-// directory-lite sharer bitmap per line.
+// over one shared, inclusive LLC. Each privately held line's MESI state
+// lives in one directory-lite record: a sharer bitmap plus the E/M owner.
 //
 // Modelling notes (see DESIGN.md § Coherence model):
 //  * Private levels keep the single-core Hierarchy's NINE fill/evict
@@ -22,6 +22,8 @@
 //    fills L1+L2 without touching the LLC (as in the single-core model).
 //    The directory tracks those lines anyway, and pollute() repairs
 //    inclusion by back-invalidating private lines the LLC no longer holds.
+//  * The directory is the only record of coherence state, and the only
+//    way to derive it on KNL, which has no LLC to hang sharer bits on.
 //  * The dedicated network cache / way-partition knobs of ArchProfile are
 //    single-core §6 extensions and are not modelled here.
 #pragma once
@@ -80,7 +82,8 @@ class CoherentHierarchy {
 
   // --- introspection ---------------------------------------------------
 
-  /// MESI state of `line` in `core`'s private stack (kInvalid if absent).
+  /// MESI state of `line` in `core`'s private stack (kInvalid if absent),
+  /// derived from the line's directory record.
   MesiState state(unsigned core, Addr line) const;
 
   bool privately_resident(unsigned core, Addr line) const;
@@ -120,10 +123,10 @@ class CoherentHierarchy {
 
   std::string report() const;
 
-  /// Full protocol audit (see DESIGN.md § Invariant audits): every tracked
-  /// line satisfies the MESI sharing invariants (at most one E/M owner and
-  /// never alongside other sharers, directory bitmap == per-core state
-  /// maps, private state implies private residency, LLC inclusion modulo
+  /// Full protocol audit (see DESIGN.md § Invariant audits): every
+  /// directory record satisfies the MESI sharing invariants (a non-empty
+  /// sharer bitmap, an E/M owner is the only sharer, dirty implies an
+  /// owner, every sharer bit implies a private copy, LLC inclusion modulo
   /// the documented L1-prefetch leak), every cache level passes its own
   /// audit, and the coherence counters obey their conservation bounds.
   /// Throws semperm::check::AuditError. No-op unless SEMPERM_AUDIT. The
@@ -132,10 +135,11 @@ class CoherentHierarchy {
   void audit() const;
 
 #if SEMPERM_AUDIT
-  /// Test seam: poke a per-core MESI state directly, bypassing the audited
-  /// set_state mutator (no directory update, no legality check) — the next
-  /// audit of that line must throw.
-  void audit_corrupt_state_for_test(unsigned core, Addr line, MesiState st);
+  /// Test seam: overwrite `line`'s directory record, bypassing the audited
+  /// set_state/drop_sharer mutators (no legality check, no invariant
+  /// upkeep). A record that breaks an invariant must fail the next audit.
+  void audit_corrupt_state_for_test(Addr line, std::uint64_t sharers,
+                                    int owner, bool dirty);
 #endif
 
  private:
@@ -145,26 +149,29 @@ class CoherentHierarchy {
     cachesim::NextLinePrefetcher next_line;
     cachesim::AdjacentPairPrefetcher adjacent_pair;
     cachesim::StreamPrefetcher streamer;
-    // MESI state of privately resident lines; absence == kInvalid.
-    // Flat open-addressing map (line_map.hpp): per-access MESI lookups
-    // and transitions allocate nothing in steady state.
-    LineMap<MesiState> state;
     std::vector<cachesim::PrefetchRequest> scratch;
     mutable cachesim::HierarchyStats stats;
 
     CoreStack(const ArchProfile& a);
   };
 
+  static std::uint64_t bit(unsigned core) { return std::uint64_t{1} << core; }
+
+  /// The one record of a line's coherence state, present while some core
+  /// holds the line privately. Core c is I if its sharer bit is clear, E
+  /// or M if it is the owner (M when dirty), and S otherwise. Maintained
+  /// exclusively by set_state/drop_sharer.
   struct DirEntry {
     std::uint64_t sharers = 0;  // bit c set => core c holds a private copy
-    // The core holding the line Modified, or -1. MESI allows at most one,
-    // so tracking it here makes the miss path's owner query one directory
-    // probe instead of a walk over every remote core's state map.
-    // Maintained exclusively by set_state/drop_sharer, like the bitmap.
-    int owner = -1;
-  };
+    int owner = -1;             // the core holding the line E or M, or -1
+    bool dirty = false;         // the owner holds it Modified
 
-  static std::uint64_t bit(unsigned core) { return std::uint64_t{1} << core; }
+    MesiState state_of(unsigned core) const {
+      if ((sharers & bit(core)) == 0) return MesiState::kInvalid;
+      if (owner != static_cast<int>(core)) return MesiState::kShared;
+      return dirty ? MesiState::kModified : MesiState::kExclusive;
+    }
+  };
 
   /// Cores other than `core` holding a private copy of `line` (bitmap).
   std::uint64_t remote_sharers(unsigned core, Addr line) const;

@@ -1,34 +1,31 @@
 // semperm/coherence/line_map.hpp
 //
 // LineMap<V> — a flat open-addressing hash map from cache-line index to a
-// small POD value, replacing std::unordered_map on the coherence hot path
-// (per-core MESI state, sharer directory).
+// small POD value. CoherentHierarchy keeps its coherence directory (one
+// DirEntry per privately held line) in one, probed on every simulated
+// access.
 //
 // Why not unordered_map: every insert/erase there is a node malloc/free
-// and every lookup a prime-modulo hash plus a pointer chase — all of it
-// per simulated access in CoherentHierarchy::access_line. LineMap keeps
+// and every lookup a prime-modulo hash plus a pointer chase. LineMap keeps
 // entries inline in one contiguous slot array (linear probing,
 // power-of-two capacity, multiplicative hashing), so the steady state
 // allocates nothing: lookups are one mix + masked scan, erase uses
 // backward-shift deletion (no tombstones, so probe chains never rot).
 //
 // A slot is just the pair<Addr, V>: the reserved key ~Addr{0} marks a
-// free slot instead of a separate `used` flag, so a MesiState map packs
-// four slots per cache line (16 B each) rather than two-and-change — the
-// probe arrays are random-access on every simulated access, and halving
-// their footprint halves the cache misses they cost. No real cache-line
-// index can collide with the sentinel (it would be the line at the very
-// top of the 64-bit address space); inserts assert it.
+// free slot instead of a separate `used` flag, which keeps a DirEntry slot
+// at 24 bytes. No real cache-line index can collide with the sentinel (it
+// would be the line at the very top of the 64-bit address space); inserts
+// assert it.
 //
-// The API mirrors the unordered_map subset the coherence layer uses —
-// find/end, operator[], erase(key), erase(iterator), contains, size,
-// clear, range-for over pair<Addr, V> — so call sites read identically
-// and the audit-mesi-bypass static check keeps matching its mutation
-// sites. Iteration order is deterministic (pure function of the insert/
-// erase history) but is NOT insertion order; no current caller depends
-// on order. References and iterators are invalidated by rehash (growth)
-// and by erase, like any open-addressing table — callers must not hold
-// them across mutations.
+// The API is the unordered_map subset the directory uses — find/end,
+// operator[], erase(iterator), clear, range-for over pair<Addr, V> — so
+// call sites read identically and the audit-mesi-bypass static check
+// keeps matching its mutation sites. Iteration order is deterministic
+// (pure function of the insert/erase history) but is NOT insertion order;
+// no caller's results depend on it. References and iterators are
+// invalidated by rehash (growth) and by erase, like any open-addressing
+// table — callers must not hold them across mutations.
 #pragma once
 
 #include <cstddef>
@@ -97,9 +94,6 @@ class LineMap {
     slots_.resize(cap, Slot{kEmpty, V{}});
   }
 
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
   iterator begin() {
     iterator it(slots_.data(), slots_.data() + slots_.size());
     it.skip_free();
@@ -130,7 +124,6 @@ class LineMap {
                                 slots_.data() + slots_.size())
                : end();
   }
-  bool contains(Addr key) const { return slots_[probe(key)].first != kEmpty; }
 
   /// Insert-or-find, default-constructing the value on insert.
   V& operator[](Addr key) {
@@ -146,10 +139,6 @@ class LineMap {
     return s.second;
   }
 
-  void erase(Addr key) {
-    const std::size_t i = probe(key);
-    if (slots_[i].first != kEmpty) erase_at(i);
-  }
   void erase(const_iterator it) {
     erase_at(static_cast<std::size_t>(it.p_ - slots_.data()));
   }

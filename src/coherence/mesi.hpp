@@ -11,8 +11,9 @@
 
 namespace semperm::coherence {
 
-/// Classic MESI. A private line is in exactly one of these states per core;
-/// kInvalid is represented by absence from the per-core state map.
+/// Classic MESI. A private line is in exactly one of these states per core,
+/// derived from the line's directory record: kInvalid is a clear sharer
+/// bit (or no record at all).
 enum class MesiState : std::uint8_t {
   kInvalid,
   kShared,     // clean, possibly multiple cores

@@ -2,43 +2,46 @@
 //
 // Lives under a `src/coherence` path fragment so the MESI routing check
 // applies. Expected findings: audit-mesi-bypass x3 (rollback_for_test,
-// reset, free_poke). The writes inside the audited mutators
+// reset, free_poke). The directory writes inside the audited mutators
 // CoherentHierarchy::set_state / drop_sharer must stay clean — this is
 // exactly the resolution grep could not do.
 
 #include <cstdint>
-#include <vector>
+#include <unordered_map>
 
 namespace semperm::fixture {
 
-struct CoreState;
+struct DirEntry {
+  std::uint64_t sharers = 0;
+  int owner = -1;
+  bool dirty = false;
+};
 
 class CoherentHierarchy {
  public:
   void set_state(int core, std::uint64_t line, int st) {
-    // Negative control: the audited mutator itself writes the map.
-    cores_.at(core).state[line] = st;
+    // Negative control: the audited mutator itself writes the record.
+    directory_[line].sharers |= std::uint64_t{1} << core;
   }
 
   void drop_sharer(int core, std::uint64_t line) {
     // Negative control: the other audited mutator.
-    cores_.at(core).state.erase(line);
+    directory_.erase(line);
   }
 
-  void rollback_for_test(int core, std::uint64_t line) {
-    cores_.at(core).state.erase(line);
+  void rollback_for_test(std::uint64_t line) {
+    directory_.erase(line);
   }
 
-  void reset(int core) {
-    cores_.at(core).state.clear();
+  void reset() {
+    directory_.clear();
   }
 
- private:
-  std::vector<CoreState> cores_;
+  std::unordered_map<std::uint64_t, DirEntry> directory_;
 };
 
-void free_poke(CoreState& cs, std::uint64_t line, int st) {
-  cs.state[line] = st;
+void free_poke(CoherentHierarchy& h, std::uint64_t line) {
+  h.directory_[line] = DirEntry{};
 }
 
 }  // namespace semperm::fixture

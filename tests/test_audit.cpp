@@ -111,7 +111,8 @@ TEST(SeededViolation, MesiTwoOwnerMixDetected) {
 
   // Promote one copy to Modified behind the protocol's back: an owner now
   // coexists with another sharer.
-  h.audit_corrupt_state_for_test(1, line, MesiState::kModified);
+  h.audit_corrupt_state_for_test(line, /*sharers=*/0b11, /*owner=*/1,
+                                 /*dirty=*/true);
   const std::string msg = audit_error_of([&] { h.audit(); });
   EXPECT_NE(msg.find("owner"), std::string::npos) << msg;
 }
@@ -119,11 +120,26 @@ TEST(SeededViolation, MesiTwoOwnerMixDetected) {
 TEST(SeededViolation, MesiUntrackedStateDetected) {
   CoherentHierarchy h(sandy_bridge(), 2);
   EXPECT_NO_THROW(h.audit());
-  // State for a line the directory has never seen (and which is not even
-  // resident): the full walk must flag the stray entry.
-  h.audit_corrupt_state_for_test(0, /*line=*/0x9999, MesiState::kExclusive);
+  // An Exclusive record for a line no core has ever touched: the sharer
+  // bit claims a private copy that does not exist.
+  h.audit_corrupt_state_for_test(/*line=*/0x9999, /*sharers=*/0b01,
+                                 /*owner=*/0, /*dirty=*/false);
   const std::string msg = audit_error_of([&] { h.audit(); });
-  EXPECT_NE(msg.find("does not track"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("without a private copy"), std::string::npos) << msg;
+}
+
+TEST(SeededViolation, MesiDirtyWithoutOwnerDetected) {
+  CoherentHierarchy h(sandy_bridge(), 2);
+  const Addr line = 0x2000;
+  h.access_line(0, line, /*write=*/true);  // core 0: Modified
+  ASSERT_EQ(h.state(0, line), MesiState::kModified);
+  EXPECT_NO_THROW(h.audit());
+
+  // Drop the owner but keep the dirty flag: Modified data nobody owns.
+  h.audit_corrupt_state_for_test(line, /*sharers=*/0b01, /*owner=*/-1,
+                                 /*dirty=*/true);
+  const std::string msg = audit_error_of([&] { h.audit(); });
+  EXPECT_NE(msg.find("dirty without an E/M owner"), std::string::npos) << msg;
 }
 
 TEST(SeededViolation, UmqShadowDivergenceDetected) {

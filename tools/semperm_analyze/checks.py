@@ -6,8 +6,8 @@ Every check has a stable ID (reported, testable, suppressible):
   determinism-wall-clock    wall/steady clock reads in simulation code
   determinism-unseeded-rng  std::random_device / default-seeded <random>
                             engines in simulation code
-  audit-mesi-bypass         MESI state mutated outside CoherentHierarchy::
-                            set_state / drop_sharer
+  audit-mesi-bypass         coherence directory mutated outside
+                            CoherentHierarchy::set_state / drop_sharer
   hotpath-alloc             allocation reachable from a SEMPERM_HOT root
   seqlock-payload           non-atomic payload member in a seqlock slot
   layout-heat-anchor        heat_anchor not first / struct not line-aligned
@@ -200,6 +200,9 @@ def check_determinism(fi: FileIndex, sup: Suppressions,
 
 
 _MESI_MUTATORS = {"set_state", "drop_sharer"}
+# The coherence directory is the one record of MESI state: indexing it
+# (operator[] inserts) or erasing/clearing/inserting entries changes state.
+_MESI_RECORD = "directory_"
 
 
 def check_mesi_routing(fi: FileIndex, sup: Suppressions) -> List[Finding]:
@@ -208,29 +211,15 @@ def check_mesi_routing(fi: FileIndex, sup: Suppressions) -> List[Finding]:
     out: List[Finding] = []
     toks = fi.tokens
     for i, t in enumerate(toks):
-        if t.kind != "id" or t.text != "state":
-            continue
-        if i == 0 or toks[i - 1].text not in (".", "->"):
+        if t.kind != "id" or t.text != _MESI_RECORD:
             continue
         nxt = toks[i + 1].text if i + 1 < len(toks) else ""
         mutation = None
         if nxt == "[":
-            close = i + 1
-            depth = 0
-            while close < len(toks):
-                if toks[close].text == "[":
-                    depth += 1
-                elif toks[close].text == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                close += 1
-            after = toks[close + 1].text if close + 1 < len(toks) else ""
-            if after == "=":
-                mutation = "indexed write to `.state[...]`"
+            mutation = f"indexed access `{_MESI_RECORD}[...]`"
         elif nxt == "." and i + 2 < len(toks) and \
                 toks[i + 2].text in ("erase", "clear", "insert", "emplace"):
-            mutation = f"`.state.{toks[i + 2].text}(...)`"
+            mutation = f"`{_MESI_RECORD}.{toks[i + 2].text}(...)`"
         if mutation is None:
             continue
         fn = fi.enclosing_function(t.line)
