@@ -3,7 +3,8 @@
 // A deliberately naive reference implementation of the match-queue
 // contract: a flat vector searched linearly in append order. Every real
 // queue structure must agree with it operation-for-operation — the oracle
-// for the property tests.
+// for the property and exhaustive tests. ReferenceEngine runs MatchEngine's
+// protocol over two such queues.
 #pragma once
 
 #include <optional>
@@ -11,6 +12,7 @@
 
 #include "match/entry.hpp"
 #include "match/queue_iface.hpp"
+#include "match/request.hpp"
 
 namespace semperm::match::testing {
 
@@ -32,10 +34,45 @@ class ReferenceQueue {
     return std::nullopt;
   }
 
+  std::optional<Entry> peek(const Key& key) const {
+    for (const Entry& e : entries_)
+      if (entry_matches(e, key)) return e;
+    return std::nullopt;
+  }
+
   std::size_t size() const { return entries_.size(); }
 
  private:
   std::vector<Entry> entries_;
+};
+
+/// Reference implementation of MatchEngine's protocol: UMQ first on a
+/// post, PRQ first on an arrival, probe peeks the UMQ.
+class ReferenceEngine {
+ public:
+  MatchRequest* post_recv(const Pattern& pattern, MatchRequest* recv) {
+    if (auto hit = umq_.find_and_remove(pattern)) return hit->req;
+    prq_.append(PostedEntry::from(pattern, recv));
+    return nullptr;
+  }
+
+  MatchRequest* incoming(const Envelope& env, MatchRequest* msg) {
+    if (auto hit = prq_.find_and_remove(env)) return hit->req;
+    umq_.append(UnexpectedEntry::from(env, msg));
+    return nullptr;
+  }
+
+  std::optional<Envelope> probe(const Pattern& pattern) const {
+    if (auto hit = umq_.peek(pattern)) return hit->envelope();
+    return std::nullopt;
+  }
+
+  std::size_t prq_size() const { return prq_.size(); }
+  std::size_t umq_size() const { return umq_.size(); }
+
+ private:
+  ReferenceQueue<PostedEntry> prq_;
+  ReferenceQueue<UnexpectedEntry> umq_;
 };
 
 }  // namespace semperm::match::testing

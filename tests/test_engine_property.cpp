@@ -17,28 +17,7 @@
 namespace semperm::match {
 namespace {
 
-/// Reference implementation of MatchEngine's protocol.
-class ReferenceEngine {
- public:
-  MatchRequest* post_recv(const Pattern& pattern, MatchRequest* recv) {
-    if (auto hit = umq_.find_and_remove(pattern)) return hit->req;
-    prq_.append(PostedEntry::from(pattern, recv));
-    return nullptr;
-  }
-
-  MatchRequest* incoming(const Envelope& env, MatchRequest* msg) {
-    if (auto hit = prq_.find_and_remove(env)) return hit->req;
-    umq_.append(UnexpectedEntry::from(env, msg));
-    return nullptr;
-  }
-
-  std::size_t prq_size() const { return prq_.size(); }
-  std::size_t umq_size() const { return umq_.size(); }
-
- private:
-  testing::ReferenceQueue<PostedEntry> prq_;
-  testing::ReferenceQueue<UnexpectedEntry> umq_;
-};
+using testing::ReferenceEngine;
 
 using Param = std::tuple<std::string, std::uint64_t>;
 
