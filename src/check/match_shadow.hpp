@@ -134,27 +134,6 @@ class MatchShadow {
                        describe(*actual));
   }
 
-  /// Replay a remove_by_request and cross-check.
-  void expect_remove_by_request(const match::MatchRequest* req, bool actual,
-                                const char* queue_name) {
-    auto it = entries_.begin();
-    for (; it != entries_.end(); ++it)
-      if (it->req == req) break;
-    if (it == entries_.end()) {
-      if (actual)
-        throw AuditError(std::string(queue_name) +
-                         " audit: structure removed a request the reference "
-                         "model does not hold");
-      return;
-    }
-    if (!actual)
-      throw AuditError(std::string(queue_name) +
-                       " audit: structure failed to remove a queued "
-                       "request; reference holds " +
-                       describe(*it));
-    entries_.erase(it);
-  }
-
   /// Live-count agreement with the real structure.
   void expect_size(std::size_t actual, const char* queue_name) const {
     if (actual != entries_.size())

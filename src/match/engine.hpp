@@ -136,18 +136,6 @@ class MatchEngine {
     return nullptr;
   }
 
-  /// Cancel a posted receive (MPI_Cancel semantics): remove its PRQ entry.
-  /// Returns false if the receive already matched (or was never posted).
-  SEMPERM_HOT bool cancel_recv(const MatchRequest* recv) {
-    SEMPERM_ASSERT(recv != nullptr);
-    const bool removed = prq_->remove_by_request(recv);
-    SEMPERM_AUDIT_ONLY(
-        prq_shadow_.expect_remove_by_request(recv, removed, prq_->name());
-        prq_shadow_.expect_size(prq_->size(), prq_->name());
-        prq_->self_check();)
-    return removed;
-  }
-
   /// Probe the unexpected queue (MPI_Iprobe semantics): the envelope of
   /// the earliest buffered message the pattern would match, if any. Does
   /// not consume the message.

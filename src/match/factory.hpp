@@ -14,12 +14,10 @@
 #include "common/mem_policy.hpp"
 #include "match/binned_queue.hpp"
 #include "match/engine.hpp"
-#include "match/four_dim_queue.hpp"
 #include "match/list_queue.hpp"
 #include "match/lla_queue.hpp"
 #include "memlayout/arena.hpp"
 #include "memlayout/block_pool.hpp"
-#include "memlayout/pool.hpp"
 
 namespace semperm::match {
 
@@ -72,6 +70,18 @@ struct EngineBundle {
 
 namespace detail {
 
+template <class Entry, MemoryModel Mem, template <class> class Index>
+std::unique_ptr<QueueIface<Entry, Mem>> make_binned(
+    Mem& mem, const QueueConfig& cfg, memlayout::Arena& arena,
+    std::vector<std::unique_ptr<memlayout::BlockPool>>& pools,
+    std::uint64_t seed) {
+  using Queue = BinnedQueue<Entry, Mem, Index>;
+  pools.push_back(std::make_unique<memlayout::BlockPool>(
+      arena, sizeof(typename Queue::Node), kCacheLine, cfg.node_policy,
+      /*chunk_blocks=*/64, seed));
+  return std::make_unique<Queue>(mem, *pools.back(), cfg.bins);
+}
+
 template <class Entry, MemoryModel Mem>
 std::unique_ptr<QueueIface<Entry, Mem>> make_queue(
     Mem& mem, const QueueConfig& cfg, memlayout::Arena& arena,
@@ -95,23 +105,11 @@ std::unique_ptr<QueueIface<Entry, Mem>> make_queue(
                                                     cfg.lla_entries);
     }
     case QueueKind::kOmpiBins:
-    case QueueKind::kHashBins: {
-      pools.push_back(std::make_unique<BlockPool>(
-          arena, sizeof(typename BinnedQueue<Entry, Mem>::Node), kCacheLine,
-          cfg.node_policy, /*chunk_blocks=*/64, seed));
-      const BinPolicy policy = cfg.kind == QueueKind::kOmpiBins
-                                   ? BinPolicy::kBySource
-                                   : BinPolicy::kByHash;
-      return std::make_unique<BinnedQueue<Entry, Mem>>(mem, *pools.back(),
-                                                       policy, cfg.bins);
-    }
-    case QueueKind::kFourDim: {
-      pools.push_back(std::make_unique<BlockPool>(
-          arena, sizeof(typename FourDimQueue<Entry, Mem>::Node), kCacheLine,
-          cfg.node_policy, /*chunk_blocks=*/64, seed));
-      return std::make_unique<FourDimQueue<Entry, Mem>>(mem, *pools.back(),
-                                                        arena, cfg.bins);
-    }
+      return make_binned<Entry, Mem, SourceBins>(mem, cfg, arena, pools, seed);
+    case QueueKind::kHashBins:
+      return make_binned<Entry, Mem, HashBins>(mem, cfg, arena, pools, seed);
+    case QueueKind::kFourDim:
+      return make_binned<Entry, Mem, TrieBins>(mem, cfg, arena, pools, seed);
   }
   SEMPERM_ASSERT_MSG(false, "unhandled queue kind");
   return nullptr;

@@ -80,52 +80,18 @@ class ListQueue final : public QueueIface<Entry, Mem> {
   }
 
   SEMPERM_HOT std::optional<Entry> find_and_remove(const Key& key) override {
-    std::uint64_t inspected = 0;
-    for (Node* n = head_; n != nullptr;) {
-      mem_->read(&n->entry, sizeof(Entry));
-      mem_->work(kCompareCycles);
-      ++inspected;
-      if (entry_matches(n->entry, key)) {
-        Entry out = n->entry;
-        unlink(n);
-        stats_.record_search(inspected, inspected, /*hit=*/true);
-        ++stats_.removals;
-        return out;
-      }
-      mem_->read(&n->next, sizeof(Node*));
-      n = n->next;
-    }
-    stats_.record_search(inspected, inspected, /*hit=*/false);
-    return std::nullopt;
+    Node* hit = search(key);
+    if (hit == nullptr) return std::nullopt;
+    Entry out = hit->entry;
+    unlink(hit);
+    ++stats_.removals;
+    return out;
   }
 
   SEMPERM_HOT std::optional<Entry> peek(const Key& key) override {
-    std::uint64_t inspected = 0;
-    for (Node* n = head_; n != nullptr; n = n->next) {
-      mem_->read(&n->entry, sizeof(Entry));
-      mem_->work(kCompareCycles);
-      ++inspected;
-      if (entry_matches(n->entry, key)) {
-        stats_.record_search(inspected, inspected, /*hit=*/true);
-        return n->entry;
-      }
-      mem_->read(&n->next, sizeof(Node*));
-    }
-    stats_.record_search(inspected, inspected, /*hit=*/false);
-    return std::nullopt;
-  }
-
-  SEMPERM_HOT bool remove_by_request(const MatchRequest* req) override {
-    for (Node* n = head_; n != nullptr; n = n->next) {
-      mem_->read(&n->entry, sizeof(Entry));
-      if (n->entry.req == req) {
-        unlink(n);
-        ++stats_.removals;
-        return true;
-      }
-      mem_->read(&n->next, sizeof(Node*));
-    }
-    return false;
+    Node* hit = search(key);
+    if (hit == nullptr) return std::nullopt;
+    return hit->entry;
   }
 
   std::size_t size() const override { return size_; }
@@ -168,6 +134,24 @@ class ListQueue final : public QueueIface<Entry, Mem> {
   static constexpr std::size_t node_bytes() { return sizeof(Node); }
 
  private:
+  /// The first node in append order whose entry matches `key`, recorded
+  /// in the search stats; nullptr if none.
+  Node* search(const Key& key) {
+    std::uint64_t inspected = 0;
+    for (Node* n = head_; n != nullptr; n = n->next) {
+      mem_->read(&n->entry, sizeof(Entry));
+      mem_->work(kCompareCycles);
+      ++inspected;
+      if (entry_matches(n->entry, key)) {
+        stats_.record_search(inspected, inspected, /*hit=*/true);
+        return n;
+      }
+      mem_->read(&n->next, sizeof(Node*));
+    }
+    stats_.record_search(inspected, inspected, /*hit=*/false);
+    return nullptr;
+  }
+
   void unlink(Node* n) {
     mem_->read(&n->next, 2 * sizeof(Node*));  // next+prev share a line
     if (n->prev != nullptr) {

@@ -89,88 +89,18 @@ class LlaQueue final : public QueueIface<Entry, Mem> {
   }
 
   SEMPERM_HOT std::optional<Entry> find_and_remove(const Key& key) override {
-    std::uint64_t inspected = 0;
-    std::uint64_t scanned = 0;
-    char* prev = nullptr;
-    for (char* n = head_node_; n != nullptr;) {
-      NodeHdr* h = hdr(n);
-      mem_->read(h, sizeof(NodeHdr));
-      Entry* es = entries(n);
-      for (std::uint32_t i = h->head; i < h->tail; ++i) {
-        mem_->read(es + i, sizeof(Entry));
-        ++scanned;
-        if (es[i].is_hole()) {
-          mem_->work(kHoleSkipCycles);
-          continue;
-        }
-        mem_->work(kCompareCycles);
-        ++inspected;
-        if (entry_matches(es[i], key)) {
-          Entry out = es[i];
-          remove_at(prev, n, i);
-          stats_.record_search(inspected, scanned, /*hit=*/true);
-          ++stats_.removals;
-          return out;
-        }
-      }
-      char** next = next_slot(n);
-      mem_->read(next, sizeof(char*));
-      prev = n;
-      n = *next;
-    }
-    stats_.record_search(inspected, scanned, /*hit=*/false);
-    return std::nullopt;
+    const Hit hit = search(key);
+    if (hit.node == nullptr) return std::nullopt;
+    Entry out = entries(hit.node)[hit.slot];
+    remove_at(hit.prev, hit.node, hit.slot);
+    ++stats_.removals;
+    return out;
   }
 
   SEMPERM_HOT std::optional<Entry> peek(const Key& key) override {
-    std::uint64_t inspected = 0;
-    std::uint64_t scanned = 0;
-    for (char* n = head_node_; n != nullptr;) {
-      NodeHdr* h = hdr(n);
-      mem_->read(h, sizeof(NodeHdr));
-      Entry* es = entries(n);
-      for (std::uint32_t i = h->head; i < h->tail; ++i) {
-        mem_->read(es + i, sizeof(Entry));
-        ++scanned;
-        if (es[i].is_hole()) {
-          mem_->work(kHoleSkipCycles);
-          continue;
-        }
-        mem_->work(kCompareCycles);
-        ++inspected;
-        if (entry_matches(es[i], key)) {
-          stats_.record_search(inspected, scanned, /*hit=*/true);
-          return es[i];
-        }
-      }
-      char** next = next_slot(n);
-      mem_->read(next, sizeof(char*));
-      n = *next;
-    }
-    stats_.record_search(inspected, scanned, /*hit=*/false);
-    return std::nullopt;
-  }
-
-  SEMPERM_HOT bool remove_by_request(const MatchRequest* req) override {
-    char* prev = nullptr;
-    for (char* n = head_node_; n != nullptr;) {
-      NodeHdr* h = hdr(n);
-      mem_->read(h, sizeof(NodeHdr));
-      Entry* es = entries(n);
-      for (std::uint32_t i = h->head; i < h->tail; ++i) {
-        mem_->read(es + i, sizeof(Entry));
-        if (!es[i].is_hole() && es[i].req == req) {
-          remove_at(prev, n, i);
-          ++stats_.removals;
-          return true;
-        }
-      }
-      char** next = next_slot(n);
-      mem_->read(next, sizeof(char*));
-      prev = n;
-      n = *next;
-    }
-    return false;
+    const Hit hit = search(key);
+    if (hit.node == nullptr) return std::nullopt;
+    return entries(hit.node)[hit.slot];
   }
 
   std::size_t size() const override { return size_; }
@@ -235,6 +165,47 @@ class LlaQueue final : public QueueIface<Entry, Mem> {
   }
 
  private:
+  /// Where a search stopped: slot `slot` of `node` (nullptr on a miss),
+  /// whose predecessor in the node chain is `prev`.
+  struct Hit {
+    char* prev;
+    char* node;
+    std::uint32_t slot;
+  };
+
+  /// The first live entry in append order matching `key`, recorded in the
+  /// search stats.
+  Hit search(const Key& key) {
+    std::uint64_t inspected = 0;
+    std::uint64_t scanned = 0;
+    char* prev = nullptr;
+    for (char* n = head_node_; n != nullptr;) {
+      NodeHdr* h = hdr(n);
+      mem_->read(h, sizeof(NodeHdr));
+      Entry* es = entries(n);
+      for (std::uint32_t i = h->head; i < h->tail; ++i) {
+        mem_->read(es + i, sizeof(Entry));
+        ++scanned;
+        if (es[i].is_hole()) {
+          mem_->work(kHoleSkipCycles);
+          continue;
+        }
+        mem_->work(kCompareCycles);
+        ++inspected;
+        if (entry_matches(es[i], key)) {
+          stats_.record_search(inspected, scanned, /*hit=*/true);
+          return {prev, n, i};
+        }
+      }
+      char** next = next_slot(n);
+      mem_->read(next, sizeof(char*));
+      prev = n;
+      n = *next;
+    }
+    stats_.record_search(inspected, scanned, /*hit=*/false);
+    return {prev, nullptr, 0};
+  }
+
   NodeHdr* hdr(char* n) const { return reinterpret_cast<NodeHdr*>(n); }
   Entry* entries(char* n) const {
     return reinterpret_cast<Entry*>(n + sizeof(NodeHdr));

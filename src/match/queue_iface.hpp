@@ -56,10 +56,6 @@ class QueueIface {
   /// `key`, if any (MPI_Probe semantics). Charged like a search.
   virtual std::optional<Entry> peek(const Key& key) = 0;
 
-  /// Remove the entry whose request pointer is `req` (MPI_Cancel
-  /// semantics). Returns false if no such entry is queued.
-  virtual bool remove_by_request(const MatchRequest* req) = 0;
-
   /// Live entries (holes excluded).
   virtual std::size_t size() const = 0;
 

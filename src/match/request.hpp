@@ -29,11 +29,6 @@ class MatchRequest {
 
   bool complete() const { return complete_; }
   void mark_complete() { complete_ = true; }
-  /// For rendezvous transports: the match engine marks a receive complete
-  /// when it matches, but an RTS match only *reserves* the receive — the
-  /// payload is still in flight. The transport un-marks and re-marks when
-  /// the data lands.
-  void unmark_complete() { complete_ = false; }
 
   /// Payload bookkeeping (the simulated runtime moves bytes; the matching
   /// study only needs the size).

@@ -11,16 +11,20 @@
 namespace semperm::match {
 namespace {
 
+using BySource = BinnedQueue<PostedEntry, NativeMem, SourceBins>;
+using ByHash = BinnedQueue<PostedEntry, NativeMem, HashBins>;
+using UmqBySource = BinnedQueue<UnexpectedEntry, NativeMem, SourceBins>;
+
 class BinnedFixture : public ::testing::Test {
  protected:
   static constexpr std::size_t kBins = 16;
 
   BinnedFixture()
       : arena_(space_, 1 << 18),
-        pool_(arena_, sizeof(BinnedQueue<PostedEntry, NativeMem>::Node),
-              kCacheLine, memlayout::AddressPolicy::kSequential),
-        by_source_(mem_, pool_, BinPolicy::kBySource, kBins),
-        by_hash_(mem_, pool_, BinPolicy::kByHash, 4) {}
+        pool_(arena_, sizeof(BySource::Node), kCacheLine,
+              memlayout::AddressPolicy::kSequential),
+        by_source_(mem_, pool_, kBins),
+        by_hash_(mem_, pool_, 4) {}
 
   PostedEntry posted(std::int32_t source, std::int32_t tag,
                      MatchRequest* req) {
@@ -31,14 +35,14 @@ class BinnedFixture : public ::testing::Test {
   memlayout::AddressSpace space_;
   memlayout::Arena arena_;
   memlayout::BlockPool pool_;
-  BinnedQueue<PostedEntry, NativeMem> by_source_;
-  BinnedQueue<PostedEntry, NativeMem> by_hash_;
+  BySource by_source_;
+  ByHash by_hash_;
   MatchRequest reqs_[64];
 };
 
 TEST_F(BinnedFixture, NodePacksToOneCacheLine) {
-  EXPECT_EQ(sizeof(BinnedQueue<PostedEntry, NativeMem>::Node), kCacheLine);
-  EXPECT_EQ(sizeof(BinnedQueue<UnexpectedEntry, NativeMem>::Node), kCacheLine);
+  EXPECT_EQ(sizeof(BySource::Node), kCacheLine);
+  EXPECT_EQ(sizeof(UmqBySource::Node), kCacheLine);
 }
 
 TEST_F(BinnedFixture, BySourceSearchSkipsOtherBins) {
@@ -94,7 +98,7 @@ TEST_F(BinnedFixture, FootprintIncludesBinArray) {
   // The Open MPI scalability criticism: O(N) memory per communicator even
   // when empty.
   EXPECT_GE(by_source_.footprint_bytes(),
-            kBins * sizeof(BinnedQueue<PostedEntry, NativeMem>::List));
+            kBins * sizeof(BySource::List));
 }
 
 TEST_F(BinnedFixture, MatchHashMixesAllFields) {
@@ -110,15 +114,15 @@ class BinnedUmqFixture : public ::testing::Test {
  protected:
   BinnedUmqFixture()
       : arena_(space_, 1 << 18),
-        pool_(arena_, sizeof(BinnedQueue<UnexpectedEntry, NativeMem>::Node),
-              kCacheLine, memlayout::AddressPolicy::kSequential),
-        umq_(mem_, pool_, BinPolicy::kBySource, 16) {}
+        pool_(arena_, sizeof(UmqBySource::Node), kCacheLine,
+              memlayout::AddressPolicy::kSequential),
+        umq_(mem_, pool_, 16) {}
 
   NativeMem mem_;
   memlayout::AddressSpace space_;
   memlayout::Arena arena_;
   memlayout::BlockPool pool_;
-  BinnedQueue<UnexpectedEntry, NativeMem> umq_;
+  UmqBySource umq_;
   MatchRequest reqs_[8];
 };
 

@@ -76,54 +76,6 @@ TEST_P(EngineProtocolTest, AgreesWithReferenceEngine) {
   }
 }
 
-TEST_P(EngineProtocolTest, CancelInterleavedWithTrafficStaysConsistent) {
-  NativeMem mem;
-  memlayout::AddressSpace space;
-  auto cfg = QueueConfig::from_label(std::get<0>(GetParam()));
-  if (cfg.kind == QueueKind::kOmpiBins || cfg.kind == QueueKind::kFourDim)
-    cfg.bins = 8;
-  auto bundle = make_engine(mem, space, cfg);
-  Rng rng(std::get<1>(GetParam()) ^ 0xcafeULL);
-
-  std::deque<MatchRequest> requests;
-  std::vector<MatchRequest*> open_recvs;
-  std::size_t expected_prq = 0;
-
-  for (int op = 0; op < 2000; ++op) {
-    const double dice = rng.uniform();
-    if (dice < 0.45) {
-      requests.emplace_back(RequestKind::kRecv, requests.size());
-      MatchRequest* recv = &requests.back();
-      if (bundle->post_recv(
-              Pattern::make(static_cast<std::int32_t>(rng.below(3)),
-                            static_cast<std::int32_t>(rng.below(4)), 0),
-              recv) == nullptr) {
-        open_recvs.push_back(recv);
-        ++expected_prq;
-      }
-    } else if (dice < 0.8) {
-      requests.emplace_back(RequestKind::kUnexpected, requests.size());
-      if (bundle->incoming(
-              Envelope{static_cast<std::int32_t>(rng.below(4)),
-                       static_cast<std::int16_t>(rng.below(3)), 0},
-              &requests.back()) != nullptr)
-        --expected_prq;
-    } else if (!open_recvs.empty()) {
-      const std::size_t pick = rng.below(open_recvs.size());
-      MatchRequest* victim = open_recvs[pick];
-      open_recvs.erase(open_recvs.begin() + static_cast<std::ptrdiff_t>(pick));
-      if (!victim->complete()) {
-        ASSERT_TRUE(bundle->cancel_recv(victim));
-        --expected_prq;
-      }
-    }
-    // Matched receives leave open_recvs lazily; prune them.
-    std::erase_if(open_recvs,
-                  [](const MatchRequest* r) { return r->complete(); });
-    ASSERT_EQ(bundle->prq().size(), expected_prq) << "op " << op;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     KindsBySeeds, EngineProtocolTest,
     ::testing::Combine(::testing::Values("baseline", "lla-2", "lla-8", "ompi",

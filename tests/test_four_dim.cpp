@@ -1,8 +1,8 @@
-// The 4-D rank-decomposed queue (Zounmevo & Afsahi style): trie geometry,
-// lazy table allocation, and the speed/memory trade-off against the flat
-// per-source array.
+// The 4-D rank-decomposed trie bin index (Zounmevo & Afsahi style): trie
+// geometry, lazy table allocation, and the speed/memory trade-off against
+// the flat per-source array.
 
-#include "match/four_dim_queue.hpp"
+#include "match/binned_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,15 +11,17 @@
 namespace semperm::match {
 namespace {
 
+using FourDimQueue = BinnedQueue<PostedEntry, NativeMem, TrieBins>;
+
 class FourDimFixture : public ::testing::Test {
  protected:
   static constexpr std::size_t kRanks = 4096;  // base 8 trie
 
   FourDimFixture()
       : arena_(space_, 1 << 20),
-        pool_(arena_, sizeof(FourDimQueue<PostedEntry, NativeMem>::Node),
-              kCacheLine, memlayout::AddressPolicy::kSequential),
-        queue_(mem_, pool_, arena_, kRanks) {}
+        pool_(arena_, sizeof(FourDimQueue::Node), kCacheLine,
+              memlayout::AddressPolicy::kSequential),
+        queue_(mem_, pool_, kRanks) {}
 
   PostedEntry posted(std::int32_t source, std::int32_t tag,
                      MatchRequest* req) {
@@ -30,26 +32,26 @@ class FourDimFixture : public ::testing::Test {
   memlayout::AddressSpace space_;
   memlayout::Arena arena_;
   memlayout::BlockPool pool_;
-  FourDimQueue<PostedEntry, NativeMem> queue_;
+  FourDimQueue queue_;
   MatchRequest reqs_[32];
 };
 
 TEST_F(FourDimFixture, DigitBaseIsFourthRoot) {
-  EXPECT_EQ(queue_.digit_base_value(), 8u);  // 8^4 = 4096
+  EXPECT_EQ(queue_.index().digit_base(), 8u);  // 8^4 = 4096
 }
 
 TEST_F(FourDimFixture, TablesAllocateLazily) {
-  const std::size_t initial = queue_.tables_allocated();
+  const std::size_t initial = queue_.index().tables_allocated();
   EXPECT_EQ(initial, 1u);  // just the root
   queue_.append(posted(0, 1, &reqs_[0]));
   // One path: 3 more interior tables (root already exists).
-  EXPECT_EQ(queue_.tables_allocated(), 4u);
+  EXPECT_EQ(queue_.index().tables_allocated(), 4u);
   // A source sharing the full prefix (same path) allocates nothing new.
   queue_.append(posted(1, 1, &reqs_[1]));
-  EXPECT_EQ(queue_.tables_allocated(), 4u);
+  EXPECT_EQ(queue_.index().tables_allocated(), 4u);
   // A source in a far rank range allocates a fresh path.
   queue_.append(posted(4095, 1, &reqs_[2]));
-  EXPECT_EQ(queue_.tables_allocated(), 7u);
+  EXPECT_EQ(queue_.index().tables_allocated(), 7u);
 }
 
 TEST_F(FourDimFixture, MatchesAcrossTriePaths) {
@@ -64,9 +66,9 @@ TEST_F(FourDimFixture, MatchesAcrossTriePaths) {
 
 TEST_F(FourDimFixture, SearchForAbsentPathAllocatesNothing) {
   queue_.append(posted(0, 5, &reqs_[0]));
-  const std::size_t tables = queue_.tables_allocated();
+  const std::size_t tables = queue_.index().tables_allocated();
   EXPECT_FALSE(queue_.find_and_remove(Envelope{5, 3000, 0}).has_value());
-  EXPECT_EQ(queue_.tables_allocated(), tables);
+  EXPECT_EQ(queue_.index().tables_allocated(), tables);
 }
 
 TEST_F(FourDimFixture, SelectionInspectsOnlyTheSourceList) {

@@ -1,5 +1,5 @@
-// MPI_Probe / MPI_Cancel semantics: non-destructive peek and
-// removal-by-request, across every queue structure and the engine.
+// MPI_Probe semantics: non-destructive peek across every queue structure
+// and the engine.
 
 #include <gtest/gtest.h>
 
@@ -75,35 +75,9 @@ TEST_P(PeekRemoveTest, UmqPeekWithWildcards) {
   EXPECT_EQ(umq.size(), 2u);
 }
 
-TEST_P(PeekRemoveTest, RemoveByRequestTargetsExactEntry) {
-  auto& prq = bundle_->prq();
-  for (int i = 0; i < 5; ++i)
-    prq.append(PostedEntry::from(Pattern::make(1, 7, 0), &reqs_[i]));
-  // Remove the middle posting; FIFO among the rest must be preserved.
-  EXPECT_TRUE(prq.remove_by_request(&reqs_[2]));
-  EXPECT_EQ(prq.size(), 4u);
-  EXPECT_FALSE(prq.remove_by_request(&reqs_[2]));  // already gone
-  EXPECT_EQ(prq.find_and_remove(Envelope{7, 1, 0})->req, &reqs_[0]);
-  EXPECT_EQ(prq.find_and_remove(Envelope{7, 1, 0})->req, &reqs_[1]);
-  EXPECT_EQ(prq.find_and_remove(Envelope{7, 1, 0})->req, &reqs_[3]);
-  EXPECT_EQ(prq.find_and_remove(Envelope{7, 1, 0})->req, &reqs_[4]);
-}
-
-TEST_P(PeekRemoveTest, RemoveByRequestOnWildcardEntry) {
-  auto& prq = bundle_->prq();
-  prq.append(PostedEntry::from(
-      Pattern::make(match::kAnySource, match::kAnyTag, 0), &reqs_[0]));
-  EXPECT_TRUE(prq.remove_by_request(&reqs_[0]));
-  EXPECT_EQ(prq.size(), 0u);
-  EXPECT_FALSE(prq.find_and_remove(Envelope{1, 1, 0}).has_value());
-}
-
-TEST_P(PeekRemoveTest, EngineCancelAndProbe) {
-  MatchRequest recv(match::RequestKind::kRecv, 1);
-  bundle_->post_recv(Pattern::make(1, 7, 0), &recv);
-  EXPECT_TRUE(bundle_->cancel_recv(&recv));
-  EXPECT_FALSE(bundle_->cancel_recv(&recv));
-  // The message now goes unexpected and is visible to probe.
+TEST_P(PeekRemoveTest, EngineProbeDoesNotConsume) {
+  // No receive is posted, so the message goes unexpected and is visible
+  // to probe.
   MatchRequest msg(match::RequestKind::kUnexpected, 2);
   bundle_->incoming(Envelope{7, 1, 0}, &msg);
   auto probed = bundle_->probe(Pattern::make(1, 7, 0));
