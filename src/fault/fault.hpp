@@ -26,24 +26,15 @@
 //    falls in [burst_start, burst_start+burst_len), modelling a link
 //    brown-out.
 //
-// Compiled out (SEMPERM_FAULT=0, the Release default) the injection
-// *sites* vanish: the heater never consults a stall hook, and requesting
-// a plan warns. The plan/stats types remain available in every build so
-// CLIs parse uniformly.
+// The plane is compiled into every build; with no active plan nothing is
+// injected.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
 
-#ifndef SEMPERM_FAULT
-#define SEMPERM_FAULT 0
-#endif
-
 namespace semperm::fault {
-
-/// True when the fault-injection sites are compiled into this TU.
-inline constexpr bool kFaultEnabled = SEMPERM_FAULT != 0;
 
 /// Where a fault can be injected.
 enum class FaultSite : std::uint8_t {

@@ -26,8 +26,8 @@
 // background thread against the steady clock.
 //
 // The watchdog is plain code compiled in every build configuration (like
-// obs::MetricsRegistry); only the *injection* sites that make it fire on
-// demand are SEMPERM_FAULT-gated.
+// obs::MetricsRegistry), as are the injection sites that make it fire on
+// demand.
 #pragma once
 
 #include <atomic>

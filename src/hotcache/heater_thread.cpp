@@ -62,7 +62,6 @@ std::uint64_t HeaterThread::touch(const std::byte* base, std::size_t len) {
 }
 
 void HeaterThread::run_single_pass() {
-#if SEMPERM_FAULT
   // Fault-injection seam: a stall models the heater losing its core to
   // preemption or starvation for a while before the pass runs.
   if (stall_hook_) {
@@ -71,7 +70,6 @@ void HeaterThread::run_single_pass() {
       std::this_thread::sleep_for(std::chrono::nanoseconds(stall_ns));
     }
   }
-#endif
   // Native heater passes live on the wall clock (their traffic is never
   // simulated); the coverage counter tracks bytes re-heated per pass.
   SEMPERM_TRACE_SPAN_BEGIN(semperm::obs::Category::kHeater, "heater_pass", 0,

@@ -1,7 +1,6 @@
 // Unit tests of the deterministic fault-injection plane: spec parsing,
-// roll purity, decision semantics, and schedules. Everything here works in
-// every build configuration — the plan/decision types are compiled
-// unconditionally; only the injection *sites* are SEMPERM_FAULT-gated.
+// roll purity, decision semantics, and schedules. The whole plane is
+// compiled into every build configuration.
 
 #include "fault/fault.hpp"
 
