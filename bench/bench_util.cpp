@@ -93,16 +93,13 @@ std::string report_json(bool partial) {
   out += obs::MetricsRegistry::global().to_json();
   out += ",\n";
   {
-    // The degradation ladders' current levels, verbatim in every report —
+    // The degradation ladder's current level, verbatim in every report —
     // including the crash-safe partial one, so a hung overload run records
-    // what state it died in (gauges default to 0 = L0 full service).
+    // what state it died in (the gauge defaults to 0 = L0 full service).
     auto& reg = obs::MetricsRegistry::global();
     char buf[128];
     std::snprintf(buf, sizeof buf,
-                  "  \"degradation_levels\": {\"heater\": %d, "
-                  "\"resilience\": %d},\n",
-                  static_cast<int>(reg.gauge("heater.degradation_level")
-                                       .value()),
+                  "  \"degradation_levels\": {\"resilience\": %d},\n",
                   static_cast<int>(reg.gauge("resilience.degradation_level")
                                        .value()));
     out += buf;

@@ -171,12 +171,12 @@ FaultDecision FaultInjector::decide(int src, int dst, std::uint64_t seq,
   return d;
 }
 
-std::uint64_t FaultInjector::heater_stall_ns(std::uint64_t pass_no) {
+bool FaultInjector::heater_stalls(std::uint64_t pass_no) {
   if (!site_fires(FaultSite::kHeaterStall, /*src=*/-1, /*dst=*/-1, pass_no,
                   /*attempt=*/0))
-    return 0;
+    return false;
   ++stats_.heater_stalls;
-  return plan_.delay_spike_ns;
+  return true;
 }
 
 }  // namespace semperm::fault

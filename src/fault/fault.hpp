@@ -8,8 +8,8 @@
 // heater thread exhibit — message drop, duplication, reordering, delay
 // spikes, heater stalls — from a single 64-bit seed, so every chaos run is
 // reproducible from its report. The sites that consult it are the OSU
-// driver's analytic chaos axis (workloads/osu.cpp), flow steering
-// (traffic/steering.cpp) and the native heater's stall hook.
+// driver's analytic chaos axis (workloads/osu.cpp) and flow steering
+// (traffic/steering.cpp).
 //
 // Determinism model: an injection decision is a *pure function* of
 // (seed, site, src, dst, seq, attempt), computed by hashing the tuple
@@ -42,7 +42,7 @@ enum class FaultSite : std::uint8_t {
   kNetDuplicate,   // transmission delivered twice
   kNetReorder,     // frame held back past the next frame on its pair
   kNetDelay,       // frame held back for a wall-clock spike
-  kHeaterStall,    // heater pass preempted / starved
+  kHeaterStall,    // heater refresh preempted / starved
   kSiteCount,
 };
 
@@ -104,7 +104,7 @@ struct FaultDecision {
 };
 
 /// Injection counts, per injector. Plain counters: every injector is
-/// owned by a single thread (one per driver run / one per heater).
+/// owned by a single thread (one per driver run).
 struct FaultStats {
   std::uint64_t rolls = 0;
   std::uint64_t drops = 0;
@@ -127,9 +127,8 @@ class FaultInjector {
   FaultDecision decide(int src, int dst, std::uint64_t seq,
                        std::uint32_t attempt);
 
-  /// Should heater pass `pass_no` stall, and for how long? Returns the
-  /// stall in ns (0 = run normally).
-  std::uint64_t heater_stall_ns(std::uint64_t pass_no);
+  /// Does heater refresh `pass_no` stall (never finish)?
+  bool heater_stalls(std::uint64_t pass_no);
 
   const FaultPlan& plan() const { return plan_; }
   const FaultStats& stats() const { return stats_; }

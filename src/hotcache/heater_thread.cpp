@@ -1,7 +1,5 @@
 #include "hotcache/heater_thread.hpp"
 
-#include <chrono>
-
 #include "common/affinity.hpp"
 #include "common/assert.hpp"
 #include "common/types.hpp"
@@ -44,12 +42,6 @@ void HeaterThread::resume() {
   wake_cv_.notify_all();
 }
 
-std::size_t HeaterThread::effective_budget() const {
-  const std::size_t override_bytes =
-      budget_override_.load(std::memory_order_acquire);
-  return override_bytes != 0 ? override_bytes : config_.max_bytes_per_pass;
-}
-
 std::uint64_t HeaterThread::touch(const std::byte* base, std::size_t len) {
   // Read the first 4 bytes of each cache line into a discarded sum — the
   // paper's exact heating access pattern. `volatile` keeps the loads alive.
@@ -62,34 +54,19 @@ std::uint64_t HeaterThread::touch(const std::byte* base, std::size_t len) {
 }
 
 void HeaterThread::run_single_pass() {
-  // Fault-injection seam: a stall models the heater losing its core to
-  // preemption or starvation for a while before the pass runs.
-  if (stall_hook_) {
-    if (const std::uint64_t stall_ns = stall_hook_(); stall_ns != 0) {
-      stalled_passes_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::nanoseconds(stall_ns));
-    }
-  }
   // Native heater passes live on the wall clock (their traffic is never
   // simulated); the coverage counter tracks bytes re-heated per pass.
   SEMPERM_TRACE_SPAN_BEGIN(semperm::obs::Category::kHeater, "heater_pass", 0,
                            registry_.slot_high_water());
   const std::size_t hw = registry_.slot_high_water();
-  const std::size_t configured = effective_budget();
-  std::size_t budget =
-      configured ? configured : static_cast<std::size_t>(-1);
-  const std::uint8_t ceiling =
-      priority_ceiling_.load(std::memory_order_acquire);
+  std::size_t budget = config_.max_bytes_per_pass
+                           ? config_.max_bytes_per_pass
+                           : static_cast<std::size_t>(-1);
   std::uint64_t lines = 0;
   std::uint64_t bytes = 0;
-  std::uint64_t skipped = 0;
   for (std::size_t i = 0; i < hw && budget > 0; ++i) {
     RegionView view;
     if (!registry_.snapshot(i, view)) continue;
-    if (view.priority > ceiling) {
-      ++skipped;  // degraded: low-priority regions go cold
-      continue;
-    }
     const std::size_t take = view.len < budget ? view.len : budget;
     touch(view.base, take);
     lines += (take + kCacheLine - 1) / kCacheLine;
@@ -99,13 +76,6 @@ void HeaterThread::run_single_pass() {
   passes_.fetch_add(1, std::memory_order_relaxed);
   lines_touched_.fetch_add(lines, std::memory_order_relaxed);
   bytes_touched_.fetch_add(bytes, std::memory_order_relaxed);
-  skipped_low_priority_.fetch_add(skipped, std::memory_order_relaxed);
-  last_pass_end_ns_.store(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count()),
-      std::memory_order_release);
   SEMPERM_TRACE_SPAN_END(semperm::obs::Category::kHeater, "heater_pass", 0,
                          lines, static_cast<double>(bytes));
   SEMPERM_TRACE_COUNTER(semperm::obs::Category::kHeater, "heated_bytes_pass",
@@ -167,9 +137,6 @@ HeaterStats HeaterThread::stats() const {
   s.passes = passes_.load(std::memory_order_relaxed);
   s.lines_touched = lines_touched_.load(std::memory_order_relaxed);
   s.bytes_touched = bytes_touched_.load(std::memory_order_relaxed);
-  s.stalled_passes = stalled_passes_.load(std::memory_order_relaxed);
-  s.skipped_low_priority =
-      skipped_low_priority_.load(std::memory_order_relaxed);
   s.pinned = pinned_.load(std::memory_order_relaxed);
   return s;
 }

@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -49,8 +48,6 @@ struct HeaterStats {
   std::uint64_t passes = 0;
   std::uint64_t lines_touched = 0;
   std::uint64_t bytes_touched = 0;
-  std::uint64_t stalled_passes = 0;        // pre-pass stall hook fired
-  std::uint64_t skipped_low_priority = 0;  // regions skipped while degraded
   bool pinned = false;
 };
 
@@ -76,39 +73,6 @@ class HeaterThread {
   /// Run exactly one heating pass on the *calling* thread (used by tests
   /// and by callers that drive heating explicitly at phase boundaries).
   void run_single_pass();
-
-  // --- resilience surface (fault/heater_watchdog) ---------------------
-
-  /// Steady-clock ns stamp of the last completed pass; 0 before the
-  /// first pass. The watchdog's staleness signal.
-  std::uint64_t last_pass_end_ns() const {
-    return last_pass_end_ns_.load(std::memory_order_acquire);
-  }
-
-  /// Runtime override of the per-pass byte budget (degradation lever 1);
-  /// 0 restores the configured budget.
-  void set_budget_override(std::size_t bytes) {
-    budget_override_.store(bytes, std::memory_order_release);
-  }
-  std::size_t effective_budget() const;
-
-  /// Heat only regions with priority <= ceiling (degradation lever 2);
-  /// default 255 heats everything.
-  void set_priority_ceiling(std::uint8_t ceiling) {
-    priority_ceiling_.store(ceiling, std::memory_order_release);
-  }
-  std::uint8_t priority_ceiling() const {
-    return priority_ceiling_.load(std::memory_order_acquire);
-  }
-
-  /// Fault-injection seam: called at the top of every pass; a nonzero
-  /// return stalls (sleeps) the pass for that many ns, modelling
-  /// preemption/starvation. Set before start(); the heater thread reads
-  /// it without synchronisation (publication happens-before via the
-  /// thread launch in start()).
-  void set_stall_hook(std::function<std::uint64_t()> hook) {
-    stall_hook_ = std::move(hook);
-  }
 
   HeaterStats stats() const;
 
@@ -144,12 +108,6 @@ class HeaterThread {
   std::atomic<std::uint64_t> passes_{0};
   std::atomic<std::uint64_t> lines_touched_{0};
   std::atomic<std::uint64_t> bytes_touched_{0};
-  std::atomic<std::uint64_t> stalled_passes_{0};
-  std::atomic<std::uint64_t> skipped_low_priority_{0};
-  std::atomic<std::uint64_t> last_pass_end_ns_{0};
-  std::atomic<std::size_t> budget_override_{0};
-  std::atomic<std::uint8_t> priority_ceiling_{255};
-  std::function<std::uint64_t()> stall_hook_;
   std::atomic<bool> pinned_{false};
   mutable Mutex hw_mu_;
   obs::PerfCounters::Reading hw_total_ GUARDED_BY(hw_mu_);

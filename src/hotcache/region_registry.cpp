@@ -11,7 +11,7 @@ RegionRegistry::RegionRegistry(std::size_t max_regions) : slots_(max_regions) {
 }
 
 void RegionRegistry::write_slot(Slot& s, const void* base, std::size_t len,
-                                std::uint8_t priority, bool live) {
+                                bool live) {
   // Seqlock write: bump to odd, mutate, bump to even. The payload stores
   // are relaxed; the odd/even version stores order them for readers.
   const std::uint32_t v = s.version.load(std::memory_order_relaxed);
@@ -19,13 +19,12 @@ void RegionRegistry::write_slot(Slot& s, const void* base, std::size_t len,
   std::atomic_thread_fence(std::memory_order_release);
   s.base.store(static_cast<const std::byte*>(base), std::memory_order_relaxed);
   s.len.store(len, std::memory_order_relaxed);
-  s.priority.store(priority, std::memory_order_relaxed);
   s.live.store(live, std::memory_order_relaxed);
   s.version.store(v + 2, std::memory_order_release);
 }
 
-std::size_t RegionRegistry::register_region(const void* base, std::size_t len,
-                                            std::uint8_t priority) {
+std::size_t RegionRegistry::register_region(const void* base,
+                                            std::size_t len) {
   SEMPERM_ASSERT(base != nullptr && len > 0);
   SpinLockGuard guard(mutate_lock_);
   std::size_t slot;
@@ -38,7 +37,7 @@ std::size_t RegionRegistry::register_region(const void* base, std::size_t len,
       throw std::runtime_error("RegionRegistry: out of slots");
     high_water_.store(slot + 1, std::memory_order_release);
   }
-  write_slot(slots_[slot], base, len, priority, /*live=*/true);
+  write_slot(slots_[slot], base, len, /*live=*/true);
   live_.fetch_add(1, std::memory_order_relaxed);
   return slot;
 }
@@ -50,8 +49,7 @@ void RegionRegistry::unregister_region(std::size_t handle) {
   SEMPERM_ASSERT_MSG(s.live.load(std::memory_order_relaxed),
                      "double unregister of slot " << handle);
   write_slot(s, s.base.load(std::memory_order_relaxed),
-             s.len.load(std::memory_order_relaxed),
-             s.priority.load(std::memory_order_relaxed), /*live=*/false);
+             s.len.load(std::memory_order_relaxed), /*live=*/false);
   free_slots_.push_back(handle);
   live_.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -62,8 +60,7 @@ bool RegionRegistry::snapshot(std::size_t i, RegionView& out) const {
     const std::uint32_t v1 = s.version.load(std::memory_order_acquire);
     if (v1 & 1u) continue;  // write in progress
     const RegionView view{s.base.load(std::memory_order_relaxed),
-                          s.len.load(std::memory_order_relaxed),
-                          s.priority.load(std::memory_order_relaxed)};
+                          s.len.load(std::memory_order_relaxed)};
     const bool live = s.live.load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
     const std::uint32_t v2 = s.version.load(std::memory_order_relaxed);

@@ -12,7 +12,7 @@
 //    blocking a registering/unregistering application thread;
 //  * the caller must guarantee registered memory remains *readable* until
 //    the registry is destroyed (pool-backed allocations provide this; see
-//    memlayout::Pool / BlockPool). Reading tombstoned-but-alive memory is
+//    memlayout::BlockPool). Reading tombstoned-but-alive memory is
 //    harmless; reading unmapped memory would not be.
 #pragma once
 
@@ -26,14 +26,10 @@
 
 namespace semperm::hotcache {
 
-/// A snapshot of one region, as read by the heater. `priority` orders
-/// regions for graceful degradation: 0 is the most important; a
-/// degraded heater (fault/heater_watchdog) stops heating regions whose
-/// priority exceeds its current ceiling.
+/// A snapshot of one region, as read by the heater.
 struct RegionView {
   const std::byte* base = nullptr;
   std::size_t len = 0;
-  std::uint8_t priority = 0;
 };
 
 class RegionRegistry {
@@ -45,11 +41,9 @@ class RegionRegistry {
   RegionRegistry(const RegionRegistry&) = delete;
   RegionRegistry& operator=(const RegionRegistry&) = delete;
 
-  /// Register [base, base+len) at `priority` (0 = most important).
-  /// Returns a slot handle. Throws std::runtime_error when the registry
-  /// is full.
-  std::size_t register_region(const void* base, std::size_t len,
-                              std::uint8_t priority = 0);
+  /// Register [base, base+len). Returns a slot handle. Throws
+  /// std::runtime_error when the registry is full.
+  std::size_t register_region(const void* base, std::size_t len);
 
   /// Tombstone a slot. The memory must stay readable (see header comment).
   void unregister_region(std::size_t handle);
@@ -78,13 +72,12 @@ class RegionRegistry {
     // be a data race under the C++ memory model (and ThreadSanitizer).
     std::atomic<const std::byte*> base{nullptr};
     std::atomic<std::size_t> len{0};
-    std::atomic<std::uint8_t> priority{0};
     std::atomic<bool> live{false};
   };
 
   /// Seqlock write of one slot; writers serialize on mutate_lock_.
-  void write_slot(Slot& s, const void* base, std::size_t len,
-                  std::uint8_t priority, bool live) REQUIRES(mutate_lock_);
+  void write_slot(Slot& s, const void* base, std::size_t len, bool live)
+      REQUIRES(mutate_lock_);
 
   // The slot array itself is written only under mutate_lock_, but slot
   // *payloads* are seqlock-protected atomics the heater reads lock-free,

@@ -1,15 +1,12 @@
 #include "resilience/degradation.hpp"
 
 #include "common/assert.hpp"
-#include "hotcache/heater_thread.hpp"
 #include "obs/metrics.hpp"
 
 namespace semperm::resilience {
 
-DegradationManager::DegradationManager(DegradationConfig cfg,
-                                       hotcache::HeaterThread* heater)
+DegradationManager::DegradationManager(DegradationConfig cfg)
     : cfg_(cfg),
-      heater_(heater),
       level_metric_(
           obs::MetricsRegistry::global().gauge("resilience.degradation_level")),
       escalations_metric_(
@@ -30,11 +27,7 @@ void DegradationManager::accrue_dwell_locked(std::uint64_t now) {
   last_check_ = now;
 }
 
-void DegradationManager::apply_level_locked(int level, std::uint64_t now) {
-  (void)now;
-  if (heater_ != nullptr)
-    heater_->set_priority_ceiling(level >= 2 ? cfg_.essential_ceiling
-                                             : std::uint8_t{255});
+void DegradationManager::apply_level_locked(int level) {
   level_.store(level, std::memory_order_release);
   level_metric_.set(level);
 }
@@ -49,8 +42,7 @@ int DegradationManager::check_once(std::uint64_t now,
   const bool queue_hot = signals.queue_high_watermark != 0 &&
                          signals.queue_depth >= signals.queue_high_watermark;
   const bool misses_hot = signals.miss_rate_ewma >= cfg_.miss_rate_high;
-  const bool watchdog_hot = signals.watchdog_level >= cfg_.watchdog_escalate_at;
-  const bool unhealthy = queue_hot || misses_hot || watchdog_hot;
+  const bool unhealthy = queue_hot || misses_hot;
 
   if (unhealthy) {
     unhealthy_checks_.fetch_add(1, std::memory_order_relaxed);
@@ -63,7 +55,7 @@ int DegradationManager::check_once(std::uint64_t now,
       probation_reescalations_.fetch_add(1, std::memory_order_relaxed);
       escalations_.fetch_add(1, std::memory_order_relaxed);
       escalations_metric_.add(1);
-      apply_level_locked(kLevels - 1, now);
+      apply_level_locked(kLevels - 1);
       SEMPERM_TRACE_INSTANT(obs::Category::kResilience, "degrade", track_,
                             kLevels - 1, 1.0);
     } else if (++unhealthy_streak_ >= cfg_.degrade_after_checks) {
@@ -71,7 +63,7 @@ int DegradationManager::check_once(std::uint64_t now,
       if (lvl < kLevels - 1) {
         escalations_.fetch_add(1, std::memory_order_relaxed);
         escalations_metric_.add(1);
-        apply_level_locked(lvl + 1, now);
+        apply_level_locked(lvl + 1);
         SEMPERM_TRACE_INSTANT(obs::Category::kResilience, "degrade", track_,
                               static_cast<std::uint64_t>(lvl + 1), 0.0);
       }
@@ -85,7 +77,7 @@ int DegradationManager::check_once(std::uint64_t now,
         recoveries_.fetch_add(1, std::memory_order_relaxed);
         recoveries_metric_.add(1);
         if (lvl == kLevels - 1) probation_left_ = cfg_.probation_checks;
-        apply_level_locked(lvl - 1, now);
+        apply_level_locked(lvl - 1);
         SEMPERM_TRACE_INSTANT(obs::Category::kResilience, "recover", track_,
                               static_cast<std::uint64_t>(lvl - 1),
                               probation_left_ > 0 ? 1.0 : 0.0);
@@ -98,7 +90,7 @@ int DegradationManager::check_once(std::uint64_t now,
 void DegradationManager::reset(std::uint64_t now) {
   MutexLock lock(policy_mutex_);
   if (now != 0) accrue_dwell_locked(now);
-  apply_level_locked(0, now);
+  apply_level_locked(0);
   unhealthy_streak_ = 0;
   healthy_streak_ = 0;
   probation_left_ = 0;

@@ -1,7 +1,6 @@
 // semperm/resilience/degradation.hpp
 //
-// The unified degradation ladder (DESIGN.md §17.3), generalizing the
-// HeaterWatchdog's heater-local ladder to the whole steering pipeline:
+// The degradation ladder (DESIGN.md §17.3) of the steering pipeline:
 //
 //   L0 full service    — admission at its configured margin, full rule
 //                        walks, all heater regions heated.
@@ -9,25 +8,22 @@
 //                        bar a miss must clear to displace a live flow.
 //   L2 essential only  — the miss path walks only the essential head of
 //                        the rule table (rule-walk budget cap) and the
-//                        heater keeps only essential regions warm.
+//                        heater stops refreshing the rule arena.
 //   L3 shed new flows  — table misses are shed outright (probe-only
 //                        lookups, no install, no walk); residents are
 //                        still served.
 //
 // The manager owns *policy only*: check_once(now, signals) is a pure
 // function of the explicit clock and the health signals the caller
-// observed (queue depth vs. watermark, miss-rate EWMA, heater-watchdog
-// level), so simulated drivers pass simulated cycles and native drivers
-// pass wall time, and tests drive it with synthetic clocks. The caller
-// applies the levers for the level returned; the optional native-heater
-// lever (priority ceiling at L2+) is the one lever the manager applies
-// itself, because the heater runs on its own thread.
+// observed (queue depth vs. watermark, miss-rate EWMA), so simulated
+// drivers pass simulated cycles and native drivers pass wall time, and
+// tests drive it with synthetic clocks. The caller applies the levers for
+// the level returned.
 //
-// Recovery is probation-based, like the watchdog's L3 resume: after
-// de-escalating from the top level, the ladder is on probation for
-// `probation_checks` checks during which a single unhealthy check snaps
-// straight back to L3 (no streak grace) — a system that just collapsed
-// must re-prove itself.
+// Recovery is probation-based: after de-escalating from the top level,
+// the ladder is on probation for `probation_checks` checks during which a
+// single unhealthy check snaps straight back to L3 (no streak grace) — a
+// system that just collapsed must re-prove itself.
 #pragma once
 
 #include <atomic>
@@ -42,10 +38,6 @@ class Counter;
 class Gauge;
 }  // namespace semperm::obs
 
-namespace semperm::hotcache {
-class HeaterThread;
-}  // namespace semperm::hotcache
-
 namespace semperm::resilience {
 
 inline constexpr int kLevels = 4;  // L0..L3
@@ -59,11 +51,6 @@ struct DegradationConfig {
   std::uint32_t probation_checks = 4;
   /// Miss-rate EWMA at or above this is unhealthy.
   double miss_rate_high = 0.75;
-  /// A heater-watchdog level at or above this is unhealthy.
-  int watchdog_escalate_at = 2;
-  /// Native-heater lever at L2+ (only with an attached heater): regions
-  /// above this priority are skipped while degraded.
-  std::uint8_t essential_ceiling = 0;
 };
 
 /// One check's observations, gathered by the caller.
@@ -71,7 +58,6 @@ struct HealthSignals {
   std::size_t queue_depth = 0;
   std::size_t queue_high_watermark = 0;  // 0 = no queue signal
   double miss_rate_ewma = 0.0;
-  int watchdog_level = 0;
 };
 
 struct DegradationStats {
@@ -88,10 +74,7 @@ struct DegradationStats {
 
 class DegradationManager {
  public:
-  /// `heater` is optional; when attached it must outlive the manager and
-  /// the manager applies the L2+ priority-ceiling lever to it directly.
-  explicit DegradationManager(DegradationConfig cfg,
-                              hotcache::HeaterThread* heater = nullptr);
+  explicit DegradationManager(DegradationConfig cfg);
 
   DegradationManager(const DegradationManager&) = delete;
   DegradationManager& operator=(const DegradationManager&) = delete;
@@ -100,7 +83,7 @@ class DegradationManager {
   /// the level in force after the step. Thread-safe (serialized).
   int check_once(std::uint64_t now, const HealthSignals& signals);
 
-  /// Force the ladder back to L0 (and lift the heater ceiling).
+  /// Force the ladder back to L0.
   void reset(std::uint64_t now = 0);
 
   int level() const { return level_.load(std::memory_order_acquire); }
@@ -108,12 +91,10 @@ class DegradationManager {
   DegradationStats stats() const;
 
  private:
-  void apply_level_locked(int level, std::uint64_t now)
-      REQUIRES(policy_mutex_);
+  void apply_level_locked(int level) REQUIRES(policy_mutex_);
   void accrue_dwell_locked(std::uint64_t now) REQUIRES(policy_mutex_);
 
   DegradationConfig cfg_;
-  hotcache::HeaterThread* heater_;
 
   mutable Mutex policy_mutex_;
   std::uint32_t unhealthy_streak_ GUARDED_BY(policy_mutex_) = 0;

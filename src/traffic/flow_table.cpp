@@ -130,15 +130,13 @@ bool FlowTable::probe(std::uint64_t flow_id, std::vector<Addr>* lines_out) {
 }
 
 std::vector<std::size_t> FlowTable::register_regions(
-    hotcache::RegionRegistry& registry, std::size_t chunk_bytes,
-    std::uint8_t priority) const {
+    hotcache::RegionRegistry& registry, std::size_t chunk_bytes) const {
   const std::size_t total = storage_bytes();
   const std::size_t chunk = chunk_bytes == 0 ? total : chunk_bytes;
   std::vector<std::size_t> handles;
   for (std::size_t off = 0; off < total; off += chunk)
     handles.push_back(registry.register_region(storage() + off,
-                                               std::min(chunk, total - off),
-                                               priority));
+                                               std::min(chunk, total - off)));
   return handles;
 }
 

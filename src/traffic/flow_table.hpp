@@ -130,8 +130,7 @@ class FlowTable {
   /// `chunk_bytes` pieces (0 = one region covering the whole table).
   /// Returns the slot handles, in registration order.
   std::vector<std::size_t> register_regions(hotcache::RegionRegistry& registry,
-                                            std::size_t chunk_bytes = 0,
-                                            std::uint8_t priority = 0) const;
+                                            std::size_t chunk_bytes = 0) const;
 
   const FlowTableStats& stats() const { return stats_; }
   /// Flows currently resident (valid slots).

@@ -293,7 +293,7 @@ SteeringResult run_steering(const SteeringParams& p) {
       if (p.compute_working_set_bytes > 0)
         hier.pollute(p.compute_working_set_bytes);
       if (heater) {
-        if (injector && injector->heater_stall_ns(epoch_no) > 0)
+        if (injector && injector->heater_stalls(epoch_no))
           ++res.stalled_refreshes;
         else
           res.heated_lines_refreshed += heater->refresh();

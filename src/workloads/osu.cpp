@@ -135,7 +135,7 @@ struct Bench {
     // says this pass never finished, in which case the communication
     // phase inherits the cold cache.
     if (heater) {
-      if (injector && injector->heater_stall_ns(iteration_no) > 0)
+      if (injector && injector->heater_stalls(iteration_no))
         ++stalled_refreshes;
       else
         heater->refresh();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -111,6 +112,42 @@ TEST(HeaterThread, RestartAfterStop) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   heater.stop();
   EXPECT_GT(heater.stats().passes, first);
+}
+
+TEST(HeaterThread, PauseResumeRacesRegistryMutation) {
+  // Stress the synchronisation: the application pauses/resumes while
+  // another thread churns the registry, all against a free-running
+  // heater. TSan validates; natively this is a smoke test that nothing
+  // deadlocks or crashes.
+  RegionRegistry reg;
+  std::vector<std::byte> stable(1 << 12);
+  std::vector<std::byte> churn(1 << 12);
+  reg.register_region(stable.data(), stable.size());
+  HeaterConfig hc;
+  hc.period_ns = 1'000;  // effectively continuous
+  HeaterThread heater(reg, hc);
+  heater.start();
+
+  std::atomic<bool> go{true};
+  std::thread pauser([&] {
+    for (int i = 0; i < 1500; ++i) {
+      heater.pause();
+      std::this_thread::yield();
+      heater.resume();
+    }
+    go.store(false);
+  });
+  std::thread registrar([&] {
+    while (go.load()) {
+      const std::size_t h = reg.register_region(churn.data(), churn.size());
+      std::this_thread::yield();
+      reg.unregister_region(h);
+    }
+  });
+  pauser.join();
+  registrar.join();
+  heater.stop();
+  EXPECT_GE(heater.stats().passes, 1u);
 }
 
 }  // namespace

@@ -39,14 +39,13 @@ def main() -> int:
             print(f"FAIL: partial report missing {key!r}: {sorted(doc)}")
             return 1
     levels = doc["degradation_levels"]
-    for ladder in ("heater", "resilience"):
-        if not isinstance(levels.get(ladder), int):
-            print(f"FAIL: degradation_levels missing {ladder!r}: {levels!r}")
-            return 1
-        if not 0 <= levels[ladder] <= 3:
-            print(f"FAIL: degradation_levels[{ladder!r}] out of range: "
-                  f"{levels[ladder]!r}")
-            return 1
+    if not isinstance(levels.get("resilience"), int):
+        print(f"FAIL: degradation_levels missing 'resilience': {levels!r}")
+        return 1
+    if not 0 <= levels["resilience"] <= 3:
+        print(f"FAIL: degradation_levels['resilience'] out of range: "
+              f"{levels['resilience']!r}")
+        return 1
     print("OK: exit 124 and valid partial JSON report")
     return 0
 

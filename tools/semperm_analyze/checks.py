@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from cppindex import FileIndex, FuncDef, ProjectIndex
+from cppindex import EXEMPT_MACRO_PREFIXES, FileIndex, FuncDef, ProjectIndex
 
 ALL_CHECKS = (
     "determinism-rand",
@@ -257,9 +257,7 @@ def _body_alloc_findings(fn: FuncDef, root: FuncDef,
             depth -= 1
             while exempt_depth and depth < exempt_depth[-1]:
                 exempt_depth.pop()
-        elif t.kind == "id" and t.text.startswith(
-                ("SEMPERM_AUDIT", "SEMPERM_TRACE", "SEMPERM_FAULT",
-                 "SEMPERM_PROF", "SEMPERM_OWNER")) and \
+        elif t.kind == "id" and t.text.startswith(EXEMPT_MACRO_PREFIXES) and \
                 i + 1 < len(body) and body[i + 1].text == "(":
             exempt_depth.append(depth + 1)
         elif t.text == "new" and t.kind == "id" and not exempt_depth:
