@@ -89,6 +89,10 @@ struct Kind {
   std::uint64_t fingerprint;
 };
 
+// Without this gtest prints the raw bytes, label pointer included, so the
+// listed test names would change with the binary's layout and with ASLR.
+void PrintTo(const Kind& kind, std::ostream* os) { *os << kind.label; }
+
 QueueConfig config_for(const Kind& kind) {
   QueueConfig cfg = QueueConfig::from_label(kind.label);
   cfg.bins = 2;
