@@ -17,29 +17,30 @@
 
 namespace {
 
-void report(const semperm::motifs::MotifSummary& s, bool csv) {
+/// One panel: the posted/unexpected length histograms as a table (what
+/// --json, --csv and --filter see), then Fig. 1's log-scale bars.
+void report(const std::string& title, const semperm::motifs::MotifSummary& s,
+            semperm::Table& sampling, bool csv) {
   using namespace semperm;
-  std::printf("%s — pattern scale %llu ranks, simulated %llu (phases %llu)\n",
-              s.name.c_str(),
-              static_cast<unsigned long long>(s.total_ranks),
-              static_cast<unsigned long long>(s.ranks_simulated),
-              static_cast<unsigned long long>(s.phases));
-  if (csv) {
-    Table t({"bucket", "posted", "unexpected"});
-    const std::size_t buckets =
-        std::max(s.posted.bucket_count(), s.unexpected.bucket_count());
-    for (std::size_t i = 0; i < buckets; ++i) {
-      t.add_row({s.posted.bucket_label(i),
-                 Table::num(i < s.posted.bucket_count() ? s.posted.bucket(i) : 0),
-                 Table::num(i < s.unexpected.bucket_count() ? s.unexpected.bucket(i)
-                                                            : 0)});
-    }
-    std::fputs(t.csv().c_str(), stdout);
-  } else {
+  Table t({"bucket", "posted", "unexpected"});
+  const std::size_t buckets =
+      std::max(s.posted.bucket_count(), s.unexpected.bucket_count());
+  for (std::size_t i = 0; i < buckets; ++i) {
+    t.add_row({s.posted.bucket_label(i),
+               Table::num(i < s.posted.bucket_count() ? s.posted.bucket(i) : 0),
+               Table::num(i < s.unexpected.bucket_count() ? s.unexpected.bucket(i)
+                                                          : 0)});
+  }
+  bench::emit(title, t, csv);
+  if (!csv) {
     std::fputs(s.posted.render("posted receive queue lengths").c_str(), stdout);
     std::fputs(s.unexpected.render("unexpected message queue lengths").c_str(),
                stdout);
   }
+  sampling.add_row({s.name, Table::num(s.total_ranks),
+                    Table::num(s.ranks_simulated), Table::num(s.phases),
+                    Table::num(s.posted.total()),
+                    Table::num(s.unexpected.total())});
 }
 
 }  // namespace
@@ -55,36 +56,45 @@ int main(int argc, char** argv) {
   const bool csv = cli.flag("csv");
   const auto stride = static_cast<int>(cli.get_int("stride"));
 
-  std::fputs(banner("Figure 1a: AMR match list sizes - 64K").c_str(), stdout);
-  motifs::AmrParams amr;
-  amr.seed = bench::bench_seed(amr.seed);
-  if (stride > 0) amr.sample_stride = stride;
-  if (quick) {
-    amr.sample_stride = 1024;
-    amr.phases = 4;
-  }
-  report(motifs::run_amr(amr), csv);
+  Table sampling({"motif", "pattern ranks", "simulated ranks", "phases",
+                  "posted samples", "unexpected samples"});
 
-  std::fputs(banner("Figure 1b: Sweep3D match list sizes - 128K").c_str(),
-             stdout);
-  motifs::Sweep3dParams sweep;
-  sweep.seed = bench::bench_seed(sweep.seed);
-  if (stride > 0) sweep.sample_stride = stride;
-  if (quick) {
-    sweep.sample_stride = 4096;
-    sweep.sweeps = 1;
+  const std::string amr_title = "Figure 1a: AMR match list sizes - 64K";
+  if (bench::panel_enabled(amr_title)) {
+    motifs::AmrParams amr;
+    amr.seed = bench::bench_seed(amr.seed);
+    if (stride > 0) amr.sample_stride = stride;
+    if (quick) {
+      amr.sample_stride = 1024;
+      amr.phases = 4;
+    }
+    report(amr_title, motifs::run_amr(amr), sampling, csv);
   }
-  report(motifs::run_sweep3d(sweep), csv);
 
-  std::fputs(banner("Figure 1c: Halo3D match list sizes - 256K").c_str(),
-             stdout);
-  motifs::Halo3dParams halo;
-  halo.seed = bench::bench_seed(halo.seed);
-  if (stride > 0) halo.sample_stride = stride;
-  if (quick) {
-    halo.sample_stride = 8192;
-    halo.phases = 4;
+  const std::string sweep_title = "Figure 1b: Sweep3D match list sizes - 128K";
+  if (bench::panel_enabled(sweep_title)) {
+    motifs::Sweep3dParams sweep;
+    sweep.seed = bench::bench_seed(sweep.seed);
+    if (stride > 0) sweep.sample_stride = stride;
+    if (quick) {
+      sweep.sample_stride = 4096;
+      sweep.sweeps = 1;
+    }
+    report(sweep_title, motifs::run_sweep3d(sweep), sampling, csv);
   }
-  report(motifs::run_halo3d(halo), csv);
+
+  const std::string halo_title = "Figure 1c: Halo3D match list sizes - 256K";
+  if (bench::panel_enabled(halo_title)) {
+    motifs::Halo3dParams halo;
+    halo.seed = bench::bench_seed(halo.seed);
+    if (stride > 0) halo.sample_stride = stride;
+    if (quick) {
+      halo.sample_stride = 8192;
+      halo.phases = 4;
+    }
+    report(halo_title, motifs::run_halo3d(halo), sampling, csv);
+  }
+
+  if (sampling.rows() > 0) bench::emit("Figure 1 motif sampling", sampling, csv);
   return bench::finish_report();
 }

@@ -111,11 +111,15 @@ void report_hw_counters(const std::string& prefix,
 void report_hw_unavailable(const std::string& reason);
 
 /// Emit a table in the selected format, preceded by a banner; records the
-/// table for the JSON report. Filtered-out titles are dropped silently.
+/// table for the JSON report, with the host wall time since the previous
+/// emit (or since configure_report) as its "table_wall_s" entry.
+/// Filtered-out titles are dropped silently.
 void emit(const std::string& title, const Table& table, bool csv);
 
 /// Stop the trace session (writing the requested trace outputs) and
-/// write the --json report, if one was requested. The report is written
+/// write the --json report, if one was requested. Its top-level "wall_s"
+/// is the run's host wall time; it and "table_wall_s" sit beside
+/// "tables", so goldens (which compare "tables" only) ignore them. The report is written
 /// to a temporary file and renamed into place, so a crash mid-write
 /// never leaves a truncated artifact. Returns the process exit code, so
 /// mains can end with `return bench::finish_report();` — 0 on success,

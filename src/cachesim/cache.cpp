@@ -1,5 +1,6 @@
 #include "cachesim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/assert.hpp"
@@ -78,15 +79,21 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_line(
     // Refresh LRU position; heater touches re-mark the line so coverage
     // accounting reflects the most recent provider.
     Meta m = meta[i];
-    if (reason == FillReason::kHeater) {
-      SEMPERM_AUDIT_ONLY(if (reason_of(m) != FillReason::kHeater)
-                             ++audit_heater_remarks_;)
+    if (reason == FillReason::kHeater && reason_of(m) != FillReason::kHeater) {
+      SEMPERM_AUDIT_ONLY(++audit_heater_remarks_;)
+      remark(reason_of(m), FillReason::kHeater);
       m = (m & ~kReasonMask) |
           (static_cast<Meta>(FillReason::kHeater) << kReasonShift);
     }
+    // A network line re-filled as normal traffic joins its set's normal
+    // count, which no fill_absent raise has covered.
+    const bool became_normal = cls == LineClass::kNormal && is_network(m);
     m = cls == LineClass::kNetwork ? (m | kNetworkBit) : (m & ~kNetworkBit);
-    SEMPERM_AUDIT_ONLY(if (dirty && !is_dirty(m)) ++audit_dirty_marks_;)
-    if (dirty) m |= kDirtyBit;
+    if (dirty && !is_dirty(m)) {
+      SEMPERM_AUDIT_ONLY(++audit_dirty_marks_;)
+      ++dirty_live_;
+      m |= kDirtyBit;
+    }
     // A refresh transfers ownership to the refreshing component (the
     // heater re-claiming a workload line is the paper's occupancy story);
     // demand *hits* in access() deliberately do not.
@@ -100,6 +107,9 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_line(
       }
     })
     move_to_front(tags, meta, i, line, m);
+    if (became_normal)
+      raise_normal_bound(static_cast<std::size_t>(
+          std::popcount(class_mask(meta, LineClass::kNormal))));
     SEMPERM_AUDIT_ONLY(audit_set(s); audit_stats();)
     return std::nullopt;
   }
@@ -132,15 +142,23 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
   // eager purge used to erase. Both scans are packed-lane way-mask
   // reductions (simd.hpp): the first stale way is the lowest zero bit of
   // the live mask, the class victim the highest set bit of the class mask.
+  // The same masks bound the set's normal-line count after the fill: all
+  // its live lines plus the new one when unpartitioned (assoc on
+  // eviction), the normal class plus the new line when partitioned (the
+  // quota on eviction).
   std::optional<EvictedWay> evicted;
   std::size_t hole;
+  std::size_t normal_after;
   if (reserved_ways_ == 0) {
     // Unpartitioned: one LRU pool.
-    hole = static_cast<std::size_t>(std::countr_one(live_mask(meta)));
+    const std::uint64_t live = live_mask(meta);
+    hole = static_cast<std::size_t>(std::countr_one(live));
+    normal_after = static_cast<std::size_t>(std::popcount(live)) + 1;
     if (hole >= assoc_) {
       hole = assoc_ - 1;  // every way live: the last one is the LRU
       evicted = EvictedWay{tags[hole], is_dirty(meta[hole])};
       ++stats_.evictions;
+      normal_after = assoc_;
     }
   } else {
     // Partitioned: each class evicts within its own way quota.
@@ -148,16 +166,24 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
     const std::size_t quota =
         network ? reserved_ways_ : assoc_ - reserved_ways_;
     const std::uint64_t in_class = class_mask(meta, cls);
-    if (static_cast<std::size_t>(std::popcount(in_class)) >= quota) {
+    normal_after = static_cast<std::size_t>(std::popcount(in_class)) + 1;
+    if (normal_after > quota) {
       // The LRU-most live way of this class is the victim.
       hole = static_cast<std::size_t>(std::bit_width(in_class)) - 1;
       evicted = EvictedWay{tags[hole], is_dirty(meta[hole])};
       ++stats_.evictions;
+      normal_after = quota;
     } else {
       hole = static_cast<std::size_t>(std::countr_one(live_mask(meta)));
     }
   }
-  if (evicted && evicted->dirty) ++stats_.writebacks;
+  if (cls == LineClass::kNormal) raise_normal_bound(normal_after);
+  if (evicted) {
+    if (evicted->dirty) ++stats_.writebacks;
+    drop_live(meta[hole]);
+  }
+  ++reason_live_[static_cast<unsigned>(reason)];
+  if (dirty) ++dirty_live_;
   SEMPERM_AUDIT_ONLY(if (dirty) ++audit_dirty_marks_;)
   SEMPERM_ASSERT_MSG(hole < assoc_, name_ << " has no way left for line "
                                           << line << " (partition overfull)");
@@ -211,8 +237,11 @@ bool SetAssocCache::mark_dirty(Addr line) {
   Meta* meta = set_meta(s);
   const std::size_t i = find_way(set_tags(s), meta, line);
   if (i == assoc_) return false;
-  SEMPERM_AUDIT_ONLY(if (!is_dirty(meta[i])) ++audit_dirty_marks_;)
-  meta[i] |= kDirtyBit;
+  if (!is_dirty(meta[i])) {
+    SEMPERM_AUDIT_ONLY(++audit_dirty_marks_;)
+    ++dirty_live_;
+    meta[i] |= kDirtyBit;
+  }
   return true;
 }
 
@@ -232,21 +261,19 @@ void SetAssocCache::invalidate(Addr line) {
   SEMPERM_TRACE_INSTANT(obs::Category::kCache, "invalidate", trace_track_,
                         line, is_dirty(meta[i]) ? 1.0 : 0.0);
   SEMPERM_TRACE_ONLY(--owner_resident_[owner_of(meta[i])];)
+  drop_live(meta[i]);
   meta[i] = pack(kStaleEpoch, FillReason::kDemand, LineClass::kNormal, false);
 }
 
 void SetAssocCache::flush() {
   // Dirty residents are written back by the flush (the epoch bump is lazy,
-  // so account for them eagerly here).
-  SEMPERM_TRACE_ONLY(std::uint64_t flush_writebacks = 0;)
-  for (const Meta m : meta_)
-    if (way_live(m) && is_dirty(m)) {
-      ++stats_.writebacks;
-      SEMPERM_TRACE_ONLY(++flush_writebacks;)
-    }
+  // so account for them eagerly here, from the live count).
+  stats_.writebacks += dirty_live_;
   SEMPERM_TRACE_INSTANT(obs::Category::kCache, "flush", trace_track_,
-                        resident_lines(),
-                        static_cast<double>(flush_writebacks));
+                        resident_lines(), static_cast<double>(dirty_live_));
+  dirty_live_ = 0;
+  reason_live_.fill(0);
+  normal_bound_ = 0;
   ++epoch_;
   SEMPERM_ASSERT(epoch_ < kStaleEpoch);
   // Every owner lost every line; the stale holes left behind decrement
@@ -267,41 +294,37 @@ void SetAssocCache::pollute(std::size_t bytes) {
   // The compute stream is ordinary traffic: with a partition configured it
   // competes only for the normal ways and cannot displace network lines.
   const std::size_t normal_capacity = assoc_ - reserved_ways_;
+  // No set holds more than normal_bound_ normal lines, so none overflows.
+  if (normal_bound_ + per_set <= normal_capacity) return;
+  std::size_t max_left = 0;
   for (std::size_t s = 0; s < set_count_; ++s) {
     Meta* meta = set_meta(s);
     // The stream's lines and the residents compete for the normal ways;
     // only the overflow (LRU-first) is displaced. A set holding few lines
     // keeps them all — this is how a large LLC retains match state.
-    std::size_t normal = 0;
-    for (std::size_t i = 0; i < assoc_; ++i)
-      if (way_live(meta[i]) && !is_network(meta[i])) ++normal;
-    if (normal + per_set <= normal_capacity) continue;
-    std::size_t drop = normal + per_set - normal_capacity;
-    for (std::size_t i = assoc_; i-- > 0 && drop > 0;) {
-      if (way_live(meta[i]) && !is_network(meta[i])) {
+    std::uint64_t normal_ways = class_mask(meta, LineClass::kNormal);
+    const auto normal = static_cast<std::size_t>(std::popcount(normal_ways));
+    if (normal + per_set > normal_capacity) {
+      // The highest set bit is the LRU-most normal way.
+      for (std::size_t drop = normal + per_set - normal_capacity;
+           drop > 0 && normal_ways != 0; --drop) {
+        const auto i =
+            static_cast<std::size_t>(std::bit_width(normal_ways)) - 1;
+        normal_ways &= ~(std::uint64_t{1} << i);
         if (is_dirty(meta[i])) ++stats_.writebacks;
         SEMPERM_TRACE_ONLY(--owner_resident_[owner_of(meta[i])];)
+        drop_live(meta[i]);
         meta[i] = pack(kStaleEpoch, FillReason::kDemand, LineClass::kNormal,
                        false);
-        --drop;
       }
     }
+    max_left = std::max(max_left,
+                        static_cast<std::size_t>(std::popcount(normal_ways)));
   }
+  // The full scan saw every set: the bound is now exact.
+  normal_bound_ = max_left;
 }
 
-std::size_t SetAssocCache::resident_lines_filled_by(FillReason reason) const {
-  std::size_t n = 0;
-  for (const Meta m : meta_)
-    if (way_live(m) && reason_of(m) == reason) ++n;
-  return n;
-}
-
-std::size_t SetAssocCache::resident_lines() const {
-  std::size_t n = 0;
-  for (const Meta m : meta_)
-    if (way_live(m)) ++n;
-  return n;
-}
 
 #if SEMPERM_TRACE
 
@@ -334,12 +357,14 @@ void SetAssocCache::trace_sample_owner_occupancy(std::uint64_t sim_ts) {
   }
   if (occ_total_track_ == 0)
     occ_total_track_ = obs::intern_track(occ_prefix_ + "/occ_total");
-  // Deliberately an independent metadata recount, not the counter sum:
-  // this is the ground truth the summarizer's conservation check
-  // compares the per-owner lanes against.
+  // Deliberately an independent metadata recount, not a counter: this is
+  // the ground truth the summarizer's conservation check compares the
+  // per-owner lanes against.
+  std::size_t live = 0;
+  for (const Meta m : meta_)
+    if (way_live(m)) ++live;
   obs::emit_event(obs::EventKind::kCounter, obs::Category::kCache, "",
-                  occ_total_track_, 0,
-                  static_cast<double>(resident_lines()), sim_ts);
+                  occ_total_track_, 0, static_cast<double>(live), sim_ts);
 }
 
 #endif  // SEMPERM_TRACE
@@ -349,17 +374,14 @@ void SetAssocCache::reset_stats() {
   SEMPERM_AUDIT_ONLY(
       audit_accesses_ = 0; audit_fill_calls_ = 0; audit_dirty_marks_ = 0;
       audit_heater_remarks_ = 0; audit_prefetch_base_ = 0;
-      audit_heater_base_ = 0; audit_prev_stats_ = CacheStats{};
+      audit_prev_stats_ = CacheStats{};
       // Resident state survives a stats reset: dirty lines will still be
       // written back and prefetched/heated lines still earn coverage
       // hits, so the conservation bounds must start from what is already
       // in the cache, not from zero.
-      for (const Meta m : meta_) {
-        if (!way_live(m)) continue;
-        if (is_dirty(m)) ++audit_dirty_marks_;
-        if (reason_of(m) == FillReason::kPrefetch) ++audit_prefetch_base_;
-        if (reason_of(m) == FillReason::kHeater) ++audit_heater_base_;
-      })
+      audit_dirty_marks_ = dirty_live_;
+      audit_prefetch_base_ = resident_lines_filled_by(FillReason::kPrefetch);
+      audit_heater_base_ = resident_lines_filled_by(FillReason::kHeater);)
 }
 
 #if SEMPERM_AUDIT
@@ -393,6 +415,10 @@ void SetAssocCache::audit_set(std::size_t set_idx) const {
                               << " normal ways, partition quota is "
                               << assoc_ - reserved_ways_);
   }
+  SEMPERM_AUDIT_CHECK(normal_ways <= normal_bound_,
+                      name_ << " set " << set_idx << " holds " << normal_ways
+                            << " normal lines, above the pollute bound "
+                            << normal_bound_);
 }
 
 void SetAssocCache::audit_stats() const {
@@ -440,6 +466,22 @@ void SetAssocCache::audit_stats() const {
 void SetAssocCache::audit() const {
   for (std::size_t idx = 0; idx < set_count_; ++idx) audit_set(idx);
   audit_stats();
+  // The live counters must equal a fresh recount of the metadata.
+  std::uint64_t dirty = 0;
+  std::array<std::uint64_t, 3> by_reason{};
+  for (const Meta m : meta_)
+    if (way_live(m)) {
+      if (is_dirty(m)) ++dirty;
+      ++by_reason[static_cast<unsigned>(reason_of(m))];
+    }
+  SEMPERM_AUDIT_CHECK(dirty == dirty_live_,
+                      name_ << " live dirty counter " << dirty_live_
+                            << " disagrees with metadata recount " << dirty);
+  for (unsigned r = 0; r < by_reason.size(); ++r)
+    SEMPERM_AUDIT_CHECK(by_reason[r] == reason_live_[r],
+                        name_ << " live counter of fill reason " << r << " is "
+                              << reason_live_[r]
+                              << ", metadata recount " << by_reason[r]);
   SEMPERM_AUDIT_CHECK(resident_lines() <= set_count_ * assoc_,
                       name_ << " resident lines exceed capacity");
 #if SEMPERM_TRACE
@@ -494,6 +536,17 @@ void SetAssocCache::audit_corrupt_lru_for_test(Addr line) {
   SEMPERM_ASSERT_MSG(target != mru, "cannot corrupt a 1-way set");
   tags[target] = tags[mru];
   meta[target] = meta[mru];
+}
+
+void SetAssocCache::audit_corrupt_way_for_test(Addr line, bool dirty,
+                                               LineClass cls) {
+  const std::size_t s = set_index(line);
+  Meta* meta = set_meta(s);
+  const std::size_t i = find_way(set_tags(s), meta, line);
+  SEMPERM_ASSERT_MSG(i < assoc_, "cannot corrupt an absent line");
+  meta[i] = (meta[i] & ~(kDirtyBit | kNetworkBit)) |
+            (dirty ? kDirtyBit : 0) |
+            (cls == LineClass::kNetwork ? kNetworkBit : 0);
 }
 
 #else

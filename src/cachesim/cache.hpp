@@ -15,6 +15,15 @@
 // flush() is an O(1) epoch bump; ways from flushed epochs are treated as
 // holes by every scan (the single `way_live` predicate) and their slots
 // are reclaimed lazily by later fills.
+//
+// Live counters keep the compute-phase model (flush/pollute) and the
+// occupancy gauges from walking the whole cache: the number of live dirty
+// lines (flush's writebacks), the live lines per FillReason
+// (resident_lines*, O(1)), and one upper bound on any set's live
+// normal-class line count, which lets a partial pollute that cannot
+// overflow any set return without visiting one. Every transition that
+// changes a way's liveness, dirty bit, reason or class updates them;
+// audit() recounts them from the metadata (DESIGN.md §10).
 #pragma once
 
 #include <array>
@@ -121,6 +130,7 @@ class SetAssocCache {
       else
         ++stats_.heater_hits;
       m &= ~kReasonMask;  // count first use only: re-mark kDemand
+      remark(r, FillReason::kDemand);
     }
     move_to_front(tags, meta, i, line, m);
     SEMPERM_AUDIT_ONLY(audit_set(s); audit_stats();)
@@ -213,8 +223,10 @@ class SetAssocCache {
   void invalidate(Addr line);
 
   /// Drop everything (the paper's modified micro-benchmarks clear the cache
-  /// between iterations to emulate a compute phase, §4.1). O(1): bumps an
-  /// epoch; stale ways become holes that later fills reclaim.
+  /// between iterations to emulate a compute phase, §4.1). O(1): the live
+  /// dirty count becomes the flush's writebacks, the live counters reset,
+  /// and an epoch bump turns every way into a hole that later fills
+  /// reclaim.
   void flush();
 
   /// Model a compute phase streaming `bytes` of unrelated data through the
@@ -222,7 +234,10 @@ class SetAssocCache {
   /// displace, keeping the MRU remainder. A working set >= the cache size
   /// degenerates to flush(). This is what lets a large LLC retain match
   /// state across compute phases ("semi-permanent occupancy") while a
-  /// smaller one loses it.
+  /// smaller one loses it. When the normal-line bound plus the stream's
+  /// per-set share fits the normal ways, no set can overflow and the call
+  /// returns at once; otherwise it scans every set and re-tightens the
+  /// bound to the exact maximum it leaves behind.
   void pollute(std::size_t bytes);
 
   const CacheStats& stats() const { return stats_; }
@@ -243,6 +258,10 @@ class SetAssocCache {
   /// Test seam: duplicate the MRU way of `line`'s set so the LRU stack is
   /// no longer a permutation; the next audit of that set must throw.
   void audit_corrupt_lru_for_test(Addr line);
+
+  /// Test seam: rewrite resident `line`'s dirty bit and class behind the
+  /// live counters' back; the next audit must notice the drift.
+  void audit_corrupt_way_for_test(Addr line, bool dirty, LineClass cls);
 #endif
 
   const std::string& name() const { return name_; }
@@ -259,13 +278,18 @@ class SetAssocCache {
                      fastmod64(line, set_count_, fastmod_magic_));
   }
 
-  /// Number of currently valid lines (for occupancy reporting).
-  std::size_t resident_lines() const;
+  /// Number of currently valid lines (for occupancy reporting). O(1).
+  std::size_t resident_lines() const {
+    return static_cast<std::size_t>(reason_live_[0] + reason_live_[1] +
+                                    reason_live_[2]);
+  }
 
   /// Valid lines whose most recent provider was `reason` (a demand hit on a
   /// prefetched/heated line re-marks it kDemand, so this counts lines still
-  /// "owned" by that provider — the heater-vs-app occupancy split).
-  std::size_t resident_lines_filled_by(FillReason reason) const;
+  /// "owned" by that provider — the heater-vs-app occupancy split). O(1).
+  std::size_t resident_lines_filled_by(FillReason reason) const {
+    return static_cast<std::size_t>(reason_live_[static_cast<unsigned>(reason)]);
+  }
 
 #if SEMPERM_TRACE
   /// Valid lines attributed to `owner` (DESIGN.md §16): an exact counter
@@ -372,6 +396,24 @@ class SetAssocCache {
         live_want() | (cls == LineClass::kNetwork ? kNetworkBit : 0));
   }
 
+  /// A live line's reason changed from `from` to `to`.
+  void remark(FillReason from, FillReason to) {
+    --reason_live_[static_cast<unsigned>(from)];
+    ++reason_live_[static_cast<unsigned>(to)];
+  }
+
+  /// A live way (word `m`) stops being live: take it out of the counters.
+  void drop_live(Meta m) {
+    --reason_live_[static_cast<unsigned>(reason_of(m))];
+    if (is_dirty(m)) --dirty_live_;
+  }
+
+  /// A set now holds `normal` live normal-class lines: keep the bound
+  /// above it.
+  void raise_normal_bound(std::size_t normal) {
+    if (normal > normal_bound_) normal_bound_ = normal;
+  }
+
   /// Rotate ways [0, i] of a set block right by one and write (`line`, `m`)
   /// at the MRU slot — the in-set move-to-front of POD words. i < assoc is
   /// small, so the inline backward copy beats a libc memmove call.
@@ -420,6 +462,11 @@ class SetAssocCache {
   std::vector<Addr> tags_;  // [set * assoc + way]
   std::vector<Meta> meta_;  // [set * assoc + way], parallel to tags_
   CacheStats stats_;
+  // Live counters (see the file comment): live dirty lines, live lines per
+  // FillReason, and an upper bound on any set's live normal-class lines.
+  std::uint64_t dirty_live_ = 0;
+  std::array<std::uint64_t, 3> reason_live_{};
+  std::size_t normal_bound_ = 0;
   // Audit-only shadow counters (mutable: audits run from const context).
   // audit_accesses_ counts access() calls; audit_fill_calls_ counts
   // fill_line() calls; audit_dirty_marks_ counts clean→dirty transitions;

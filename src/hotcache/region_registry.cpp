@@ -12,14 +12,16 @@ RegionRegistry::RegionRegistry(std::size_t max_regions) : slots_(max_regions) {
 
 void RegionRegistry::write_slot(Slot& s, const void* base, std::size_t len,
                                 bool live) {
-  // Seqlock write: bump to odd, mutate, bump to even. The payload stores
-  // are relaxed; the odd/even version stores order them for readers.
+  // Seqlock write: bump to odd, mutate, bump to even. Each payload store
+  // is a release, so a reader whose acquire load sees a new payload value
+  // also sees the odd version stored before it; the final release publishes
+  // the whole payload with the even version. No fences: ThreadSanitizer
+  // models acquire/release operations but not atomic_thread_fence.
   const std::uint32_t v = s.version.load(std::memory_order_relaxed);
   s.version.store(v + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  s.base.store(static_cast<const std::byte*>(base), std::memory_order_relaxed);
-  s.len.store(len, std::memory_order_relaxed);
-  s.live.store(live, std::memory_order_relaxed);
+  s.base.store(static_cast<const std::byte*>(base), std::memory_order_release);
+  s.len.store(len, std::memory_order_release);
+  s.live.store(live, std::memory_order_release);
   s.version.store(v + 2, std::memory_order_release);
 }
 
@@ -59,10 +61,11 @@ bool RegionRegistry::snapshot(std::size_t i, RegionView& out) const {
   for (int attempt = 0; attempt < 4; ++attempt) {
     const std::uint32_t v1 = s.version.load(std::memory_order_acquire);
     if (v1 & 1u) continue;  // write in progress
-    const RegionView view{s.base.load(std::memory_order_relaxed),
-                          s.len.load(std::memory_order_relaxed)};
-    const bool live = s.live.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire payload loads keep the version re-read below after them: if
+    // any of them saw a concurrent writer's store, v2 sees its odd bump.
+    const RegionView view{s.base.load(std::memory_order_acquire),
+                          s.len.load(std::memory_order_acquire)};
+    const bool live = s.live.load(std::memory_order_acquire);
     const std::uint32_t v2 = s.version.load(std::memory_order_relaxed);
     if (v1 == v2) {
       if (!live) return false;

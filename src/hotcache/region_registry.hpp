@@ -66,10 +66,11 @@ class RegionRegistry {
  private:
   struct Slot {
     std::atomic<std::uint32_t> version{0};  // seqlock: odd = write in progress
-    // Payload fields are atomics accessed with relaxed ordering: a seqlock
-    // reader races with the writer by design, and the version counter (not
-    // the payload accesses) provides the ordering. Plain fields here would
-    // be a data race under the C++ memory model (and ThreadSanitizer).
+    // Payload fields are atomics written with release and read with
+    // acquire: a seqlock reader races with the writer by design, and those
+    // orderings tie each payload access to the version counter without a
+    // fence. Plain fields here would be a data race under the C++ memory
+    // model (and ThreadSanitizer).
     std::atomic<const std::byte*> base{nullptr};
     std::atomic<std::size_t> len{0};
     std::atomic<bool> live{false};

@@ -20,6 +20,7 @@ namespace semperm {
 namespace {
 
 using cachesim::FillReason;
+using cachesim::LineClass;
 using cachesim::SetAssocCache;
 using cachesim::sandy_bridge;
 using coherence::CoherentHierarchy;
@@ -98,6 +99,32 @@ TEST(SeededViolation, CacheLruDuplicateDetected) {
   cache.audit_corrupt_lru_for_test(/*line=*/0);
   const std::string msg = audit_error_of([&] { cache.audit(); });
   EXPECT_NE(msg.find("not a permutation"), std::string::npos) << msg;
+}
+
+TEST(SeededViolation, CacheLiveDirtyCountDriftDetected) {
+  SetAssocCache cache("T", 2048, 4);
+  for (Addr line = 0; line < 24; ++line)
+    cache.fill(line, FillReason::kDemand);
+  EXPECT_NO_THROW(cache.audit());
+
+  // A line turns dirty without the live dirty count seeing it.
+  cache.audit_corrupt_way_for_test(/*line=*/0, /*dirty=*/true,
+                                   LineClass::kNormal);
+  const std::string msg = audit_error_of([&] { cache.audit(); });
+  EXPECT_NE(msg.find("live dirty counter"), std::string::npos) << msg;
+}
+
+TEST(SeededViolation, CachePolluteBoundBelowSetDetected) {
+  SetAssocCache cache("T", 2048, 4);  // lines 0, 8, 16, 24 share set 0
+  for (const Addr line : {0, 8, 16, 24})
+    cache.fill(line, FillReason::kDemand, LineClass::kNetwork);
+  EXPECT_NO_THROW(cache.audit());
+
+  // A network line turns normal without raising the normal-line bound.
+  cache.audit_corrupt_way_for_test(/*line=*/8, /*dirty=*/false,
+                                   LineClass::kNormal);
+  const std::string msg = audit_error_of([&] { cache.audit(); });
+  EXPECT_NE(msg.find("above the pollute bound"), std::string::npos) << msg;
 }
 
 TEST(SeededViolation, MesiTwoOwnerMixDetected) {

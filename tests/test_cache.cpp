@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_cache.hpp"
+
 namespace semperm::cachesim {
 namespace {
 
@@ -161,6 +163,124 @@ TEST(Cache, HitRate) {
   c.access(0);
   c.access(1);
   EXPECT_DOUBLE_EQ(c.stats().hit_rate(), 0.5);
+}
+
+// Edge cases of the live counters (dirty lines, lines per fill reason,
+// the normal-line pollute bound), each checked against the list-based
+// reference cache. The randomized golden test draws a line's class from
+// its address, so it never flips a resident line's class; these cover the
+// transitions it cannot reach.
+
+using testing::ReferenceSetAssocCache;
+
+// 4 sets x 4 ways, unpartitioned; lines 0, 4, 8, ... share set 0.
+constexpr std::size_t kEdgeBytes = 4 * 4 * kCacheLine;
+constexpr Addr kEdgeUniverse = 64;
+
+void expect_same(const SetAssocCache& c, const ReferenceSetAssocCache& ref) {
+  const CacheStats& a = c.stats();
+  const CacheStats& b = ref.stats();
+  EXPECT_EQ(a.demand_hits, b.demand_hits);
+  EXPECT_EQ(a.demand_misses, b.demand_misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+  EXPECT_EQ(c.resident_lines(), ref.resident_lines());
+  for (const FillReason r :
+       {FillReason::kDemand, FillReason::kPrefetch, FillReason::kHeater})
+    EXPECT_EQ(c.resident_lines_filled_by(r), ref.resident_lines_filled_by(r));
+  for (Addr line = 0; line < kEdgeUniverse; ++line) {
+    EXPECT_EQ(c.contains(line), ref.contains(line)) << "line " << line;
+    EXPECT_EQ(c.line_dirty(line), ref.line_dirty(line)) << "line " << line;
+  }
+  c.audit();  // recounts the live counters under SEMPERM_AUDIT
+}
+
+TEST(CacheLiveCounters, PolluteDropsNetworkLinesRefilledAsNormal) {
+  SetAssocCache c("c", kEdgeBytes, 4);
+  ReferenceSetAssocCache ref("ref", kEdgeBytes, 4);
+  // Network fills do not raise the normal-line bound...
+  for (const Addr line : {0, 4, 8, 12}) {
+    c.fill(line, FillReason::kDemand, LineClass::kNetwork);
+    ref.fill(line, FillReason::kDemand, LineClass::kNetwork);
+  }
+  // ...so the hit-path class flip must: set 0 now holds 4 normal lines.
+  for (const Addr line : {0, 4, 8, 12}) {
+    c.fill(line, FillReason::kPrefetch, LineClass::kNormal);
+    ref.fill(line, FillReason::kPrefetch, LineClass::kNormal);
+  }
+  c.pollute(4 * kCacheLine);  // one line per set: set 0 overflows by one
+  ref.pollute(4 * kCacheLine);
+  EXPECT_FALSE(c.contains(0));  // the LRU-most refilled line is dropped
+  EXPECT_TRUE(c.contains(12));
+  EXPECT_EQ(c.resident_lines(), 3u);
+  expect_same(c, ref);
+}
+
+TEST(CacheLiveCounters, PolluteThatDropsLinesRetightensTheBound) {
+  SetAssocCache c("c", kEdgeBytes, 4);
+  ReferenceSetAssocCache ref("ref", kEdgeBytes, 4);
+  for (Addr line = 0; line < 16; ++line) {  // every set full
+    c.fill_line(line, FillReason::kDemand, LineClass::kNormal, line % 3 == 0);
+    ref.fill_line(line, FillReason::kDemand, LineClass::kNormal,
+                  line % 3 == 0);
+  }
+  c.pollute(8 * kCacheLine);  // two lines per set: drops two of each
+  ref.pollute(8 * kCacheLine);
+  EXPECT_EQ(c.resident_lines(), 8u);
+  expect_same(c, ref);
+
+  // Every set now holds two lines: an identical pollute changes nothing.
+  const CacheStats before = c.stats();
+  c.pollute(8 * kCacheLine);
+  ref.pollute(8 * kCacheLine);
+  EXPECT_EQ(c.stats().writebacks, before.writebacks);
+  EXPECT_EQ(c.stats().evictions, before.evictions);
+  EXPECT_EQ(c.resident_lines(), 8u);
+  expect_same(c, ref);
+
+  // A fill raises the tightened bound again: set 1 overflows once more.
+  c.fill(17, FillReason::kDemand);
+  ref.fill(17, FillReason::kDemand);
+  c.pollute(8 * kCacheLine);
+  ref.pollute(8 * kCacheLine);
+  EXPECT_EQ(c.resident_lines(), 8u);
+  expect_same(c, ref);
+}
+
+TEST(CacheLiveCounters, DirtyLinesLeavingEveryWayAreWrittenBackOnce) {
+  SetAssocCache c("c", kEdgeBytes, 4);
+  ReferenceSetAssocCache ref("ref", kEdgeBytes, 4);
+  const auto both = [&](auto&& op) {
+    op(c);
+    op(ref);
+    expect_same(c, ref);
+  };
+  // Set 0: four dirty lines, dirtied by each clean->dirty path; a second
+  // mark of an already-dirty line must not count twice.
+  both([](auto& x) {
+    x.fill_line(0, FillReason::kDemand, LineClass::kNormal, true);
+    x.fill(4, FillReason::kDemand);
+    x.mark_dirty(4);
+    x.mark_dirty(4);
+    x.fill(8, FillReason::kHeater);
+    x.fill_line(8, FillReason::kDemand, LineClass::kNormal, true);
+    x.fill_line(12, FillReason::kPrefetch, LineClass::kNormal, true);
+    x.fill_line(12, FillReason::kPrefetch, LineClass::kNormal, true);
+  });
+  EXPECT_EQ(c.stats().writebacks, 0u);
+  both([](auto& x) { x.fill(16, FillReason::kDemand); });  // evicts dirty 0
+  EXPECT_EQ(c.stats().writebacks, 1u);
+  both([](auto& x) { x.invalidate(4); });
+  EXPECT_EQ(c.stats().writebacks, 2u);
+  both([](auto& x) { x.invalidate(4); });  // already gone
+  EXPECT_EQ(c.stats().writebacks, 2u);
+  both([](auto& x) { x.fill(20, FillReason::kDemand); });  // set 0 full again
+  both([](auto& x) { x.pollute(4 * kCacheLine); });        // drops dirty 8
+  EXPECT_EQ(c.stats().writebacks, 3u);
+  both([](auto& x) { x.flush(); });  // dirty 12 is the last one
+  EXPECT_EQ(c.stats().writebacks, 4u);
+  both([](auto& x) { x.flush(); });  // nothing left to write back
+  EXPECT_EQ(c.stats().writebacks, 4u);
 }
 
 TEST(Cache, InvalidGeometryRejected) {
