@@ -113,13 +113,23 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_line(
     SEMPERM_AUDIT_ONLY(audit_set(s); audit_stats();)
     return std::nullopt;
   }
-  return fill_absent(s, tags, meta, line, reason, cls, dirty);
+  return fill_absent(s, tags, meta, line, reason, cls, dirty,
+                     /*peer=*/false);
 }
 
-SetAssocCache::FillOutcome SetAssocCache::fill_line_if_absent(Addr line,
-                                                              FillReason reason,
-                                                              LineClass cls,
-                                                              bool dirty) {
+std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_missed(
+    Addr line, FillReason reason, LineClass cls, bool dirty, bool peer) {
+  const std::size_t s = set_index(line);
+  Addr* tags = set_tags(s);
+  Meta* meta = set_meta(s);
+  SEMPERM_AUDIT_ONLY(++audit_fill_calls_;)
+  SEMPERM_AUDIT_CHECK(find_way(tags, meta, line) == assoc_,
+                      name_ << " fill_missed of resident line " << line);
+  return fill_absent(s, tags, meta, line, reason, cls, dirty, peer);
+}
+
+SetAssocCache::FillOutcome SetAssocCache::fill_line_if_absent(
+    Addr line, FillReason reason, LineClass cls, bool dirty, bool peer) {
   const std::size_t s = set_index(line);
   Addr* tags = set_tags(s);
   Meta* meta = set_meta(s);
@@ -128,12 +138,12 @@ SetAssocCache::FillOutcome SetAssocCache::fill_line_if_absent(Addr line,
   // never reached fill_line, so the fill-call audit counter stays put too).
   if (find_way(tags, meta, line) < assoc_) return {};
   SEMPERM_AUDIT_ONLY(++audit_fill_calls_;)
-  return {true, fill_absent(s, tags, meta, line, reason, cls, dirty)};
+  return {true, fill_absent(s, tags, meta, line, reason, cls, dirty, peer)};
 }
 
 std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
     [[maybe_unused]] std::size_t s, Addr* tags, Meta* meta, Addr line,
-    FillReason reason, LineClass cls, bool dirty) {
+    FillReason reason, LineClass cls, bool dirty, bool peer) {
   if (reason == FillReason::kPrefetch) ++stats_.prefetch_fills;
   if (reason == FillReason::kHeater) ++stats_.heater_fills;
 
@@ -156,7 +166,8 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
     normal_after = static_cast<std::size_t>(std::popcount(live)) + 1;
     if (hole >= assoc_) {
       hole = assoc_ - 1;  // every way live: the last one is the LRU
-      evicted = EvictedWay{tags[hole], is_dirty(meta[hole])};
+      evicted =
+          EvictedWay{tags[hole], is_dirty(meta[hole]), is_peer(meta[hole])};
       ++stats_.evictions;
       normal_after = assoc_;
     }
@@ -170,7 +181,8 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
     if (normal_after > quota) {
       // The LRU-most live way of this class is the victim.
       hole = static_cast<std::size_t>(std::bit_width(in_class)) - 1;
-      evicted = EvictedWay{tags[hole], is_dirty(meta[hole])};
+      evicted =
+          EvictedWay{tags[hole], is_dirty(meta[hole]), is_peer(meta[hole])};
       ++stats_.evictions;
       normal_after = quota;
     } else {
@@ -210,7 +222,7 @@ std::optional<SetAssocCache::EvictedWay> SetAssocCache::fill_absent(
                                   : "fill_demand",
                               trace_track_, line, 0.0);
       })
-  Meta packed = pack(epoch_, reason, cls, dirty);
+  Meta packed = pack(epoch_, reason, cls, dirty) | (peer ? kPeerBit : 0);
   // Attribution accounting: the victim's owner (meta[hole] still holds
   // its word) loses a resident line, the filling owner gains one. Stale
   // holes lost theirs at flush/invalidate time and decrement nothing.
@@ -243,6 +255,23 @@ bool SetAssocCache::mark_dirty(Addr line) {
     meta[i] |= kDirtyBit;
   }
   return true;
+}
+
+bool SetAssocCache::set_peer(Addr line, bool peer) {
+  const std::size_t s = set_index(line);
+  Meta* meta = set_meta(s);
+  const std::size_t i = find_way(set_tags(s), meta, line);
+  if (i == assoc_) return false;
+  meta[i] = peer ? (meta[i] | kPeerBit) : (meta[i] & ~kPeerBit);
+  return true;
+}
+
+std::optional<bool> SetAssocCache::peer_bit(Addr line) const {
+  const std::size_t s = set_index(line);
+  const Meta* meta = set_meta(s);
+  const std::size_t i = find_way(set_tags(s), meta, line);
+  if (i == assoc_) return std::nullopt;
+  return is_peer(meta[i]);
 }
 
 bool SetAssocCache::line_dirty(Addr line) const {

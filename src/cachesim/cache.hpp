@@ -162,11 +162,13 @@ class SetAssocCache {
     return find_way(set_tags(s), set_meta(s), line) < assoc_;
   }
 
-  /// An eviction produced by fill_line: which line left, and whether it was
-  /// dirty (the caller owns the resulting writeback, e.g. to the next level).
+  /// An eviction produced by fill_line: which line left, whether it was
+  /// dirty (the caller owns the resulting writeback, e.g. to the next level),
+  /// and its peer bit (see set_peer).
   struct EvictedWay {
     Addr line;
     bool dirty;
+    bool peer = false;
   };
 
   /// Insert `line` (after a miss at this level, or as prefetch/heater fill).
@@ -204,7 +206,28 @@ class SetAssocCache {
   /// walk; the observable state is identical to the unfused pair.
   FillOutcome fill_line_if_absent(Addr line, FillReason reason,
                                   LineClass cls = LineClass::kNormal,
-                                  bool dirty = false);
+                                  bool dirty = false, bool peer = false);
+
+  /// fill_line() for a line the caller's access() has just missed, with no
+  /// level change in between: skips the residency walk, so a miss costs
+  /// one set walk instead of two. Statistics are identical to fill_line();
+  /// audit builds check that the line is indeed absent. `peer` seeds the
+  /// new way's peer bit.
+  std::optional<EvictedWay> fill_missed(Addr line, FillReason reason,
+                                        LineClass cls = LineClass::kNormal,
+                                        bool dirty = false, bool peer = false);
+
+  /// The peer bit: one caller-owned bit per way that the cache stores,
+  /// carries through LRU moves and refreshes, reports in EvictedWay and
+  /// clears when the way dies, but never reads. CoherentHierarchy sets it
+  /// on an L1 way while the same core's L2 holds the line too. Sets the
+  /// bit of resident `line` to `peer`; returns false (and changes nothing)
+  /// if the line is absent. No LRU or statistics change.
+  bool set_peer(Addr line, bool peer);
+
+  /// The peer bit of resident `line`, or nullopt if the line is absent:
+  /// residency and the bit from one set walk.
+  std::optional<bool> peer_bit(Addr line) const;
 
   /// Set the dirty bit of a resident line (a write-back cache records the
   /// store; the data moves only on displacement). Returns false if absent.
@@ -318,10 +341,12 @@ class SetAssocCache {
 #endif
 
  private:
-  // Packed per-way metadata word: [63:8] fill epoch, [7:4] owner id,
-  // [3:2] FillReason, [1] LineClass, [0] dirty. A way is live iff its
-  // epoch field equals the cache's current epoch; flush() bumps the
-  // epoch, invalidate() stamps the never-current kStaleEpoch.
+  // Packed per-way metadata word: [63:9] fill epoch, [8] peer,
+  // [7:4] owner id, [3:2] FillReason, [1] LineClass, [0] dirty. A way is
+  // live iff its epoch field equals the cache's current epoch; flush()
+  // bumps the epoch, invalidate() stamps the never-current kStaleEpoch.
+  // The peer bit sits below the epoch, outside kLiveMask, so no probe
+  // predicate sees it.
   //
   // The owner field (obs/owner.hpp) is written only in traced builds;
   // Release leaves it zero, so packed words — and therefore every
@@ -335,7 +360,8 @@ class SetAssocCache {
   static constexpr Meta kReasonMask = Meta{3} << kReasonShift;
   static constexpr unsigned kOwnerShift = 4;
   static constexpr Meta kOwnerMask = Meta{obs::kMaxOwners - 1} << kOwnerShift;
-  static constexpr unsigned kEpochShift = 8;
+  static constexpr Meta kPeerBit = Meta{1} << 8;
+  static constexpr unsigned kEpochShift = 9;
   static constexpr std::uint64_t kStaleEpoch =
       (std::uint64_t{1} << (64 - kEpochShift)) - 1;
 
@@ -353,6 +379,7 @@ class SetAssocCache {
   }
   static bool is_network(Meta m) { return (m & kNetworkBit) != 0; }
   static bool is_dirty(Meta m) { return (m & kDirtyBit) != 0; }
+  static bool is_peer(Meta m) { return (m & kPeerBit) != 0; }
 
   /// THE validity predicate: every scan — access, contains, fills,
   /// footprint and coverage accounting — filters stale-epoch ways through
@@ -427,13 +454,13 @@ class SetAssocCache {
     meta[0] = m;
   }
 
-  /// Miss-path insertion shared by fill_line / fill_line_if_absent: counts
-  /// the fill, picks the hole (stale way or evicted victim), moves the new
-  /// line to the MRU slot. The caller has already established the line is
-  /// absent from the set.
+  /// Miss-path insertion shared by fill_line / fill_line_if_absent /
+  /// fill_missed: counts the fill, picks the hole (stale way or evicted
+  /// victim), moves the new line to the MRU slot. The caller has already
+  /// established the line is absent from the set.
   std::optional<EvictedWay> fill_absent(std::size_t s, Addr* tags, Meta* meta,
                                         Addr line, FillReason reason,
-                                        LineClass cls, bool dirty);
+                                        LineClass cls, bool dirty, bool peer);
 
   Addr* set_tags(std::size_t set) { return tags_.data() + set * assoc_; }
   const Addr* set_tags(std::size_t set) const {

@@ -100,10 +100,13 @@ Cycles Hierarchy::access_line(Addr line, bool write) {
   // Fill every level closer to the core than the serving level; network
   // lines fill the dedicated cache instead of the L1. Dirty victims are
   // written back into the next level out (NINE: accepted only if already
-  // resident there; otherwise the writeback drains to DRAM).
+  // resident there; otherwise the writeback drains to DRAM). Every one of
+  // these levels has just missed in the probe loop above, so the fill
+  // skips the residency walk.
   for (unsigned lvl = first_level; lvl < serving_level && lvl < level_count();
        ++lvl) {
-    const auto evicted = levels_[lvl].fill_line(line, FillReason::kDemand, cls);
+    const auto evicted =
+        levels_[lvl].fill_missed(line, FillReason::kDemand, cls);
     if (evicted && evicted->dirty && lvl + 1 < level_count())
       levels_[lvl + 1].mark_dirty(evicted->line);
   }

@@ -165,19 +165,26 @@ void CoherentHierarchy::on_private_evict(unsigned core, unsigned level,
   // the single-core prefetch_fill does.
   //
   // The victim was just displaced from `level`, so only the sibling level
-  // decides whether the line is still privately resident — and for an L1
-  // dirty victim the mark_dirty probe already answers that (it reports
-  // whether the L2 copy it dirtied exists), so no second set walk is
-  // needed.
+  // decides whether the line is still privately resident. For an L1
+  // victim the way's peer bit already says whether L2 holds the line, so
+  // no L2 set walk is needed unless a dirty bit has to land there.
   if (level == 0) {
-    if (propagate_dirty && ev.dirty) {
-      if (!cs.l2.mark_dirty(ev.line)) private_line_gone(core, ev.line);
+    SEMPERM_AUDIT_CHECK(ev.peer == cs.l2.contains(ev.line),
+                        "core " << core << " L1 victim " << ev.line
+                                << " carries peer bit " << ev.peer
+                                << " but its L2 "
+                                << (ev.peer ? "lacks" : "holds")
+                                << " the line");
+    if (!ev.peer) {
+      private_line_gone(core, ev.line);
       return;
     }
-    if (!cs.l2.contains(ev.line)) private_line_gone(core, ev.line);
+    if (propagate_dirty && ev.dirty) cs.l2.mark_dirty(ev.line);
   } else {
     if (propagate_dirty && ev.dirty && llc_) llc_->mark_dirty(ev.line);
-    if (!cs.l1.contains(ev.line)) private_line_gone(core, ev.line);
+    // The L1 probe that decides residency also clears the L1 copy's peer
+    // bit: L2 no longer holds the line.
+    if (!cs.l1.set_peer(ev.line, false)) private_line_gone(core, ev.line);
   }
 }
 
@@ -345,16 +352,19 @@ Cycles CoherentHierarchy::access_line(unsigned core, Addr line, bool write) {
   obs.l2_hit = (serving == 1);
 
   // Fill the private levels closer to the core than the serving level,
-  // exactly as the single-core Hierarchy does.
+  // exactly as the single-core Hierarchy does. Both levels missed above
+  // and nothing since has filled this line privately, so the fills skip
+  // the residency walk.
   if (serving > 0) {
     // L1 before L2, matching the single-core fill loop: the L1 victim's
     // dirty bit must land on its L2 copy before L2's own fill can evict it.
-    const auto ev =
-        cs.l1.fill_line(line, FillReason::kDemand, LineClass::kNormal, false);
+    // The L1 way's peer bit is set: L2 holds the line once this finishes.
+    const auto ev = cs.l1.fill_missed(line, FillReason::kDemand,
+                                      LineClass::kNormal, /*dirty=*/false,
+                                      /*peer=*/true);
     if (ev) on_private_evict(core, 0, *ev, /*propagate_dirty=*/true);
     if (serving > 1) {
-      const auto ev2 = cs.l2.fill_line(line, FillReason::kDemand,
-                                       LineClass::kNormal, false);
+      const auto ev2 = cs.l2.fill_missed(line, FillReason::kDemand);
       if (ev2) on_private_evict(core, 1, *ev2, /*propagate_dirty=*/true);
     }
   }
@@ -416,10 +426,12 @@ void CoherentHierarchy::prefetch_fill(unsigned core,
   const bool was_private = (sharers & bit(core)) != 0;
   // fill_line_if_absent fuses the old `contains() ? skip : fill()` pair
   // into one set walk per level; a resident target squashes the prefetch
-  // without an LRU refresh, exactly as the unfused guard behaved.
+  // without an LRU refresh, exactly as the unfused guard behaved. An L1
+  // fill sets the way's peer bit: the L2 fill below makes it true.
   auto fill_if_absent_at = [&](unsigned lvl) {
     const auto out = levels[lvl]->fill_line_if_absent(
-        req.line, FillReason::kPrefetch, LineClass::kNormal, false);
+        req.line, FillReason::kPrefetch, LineClass::kNormal, /*dirty=*/false,
+        /*peer=*/lvl == 0);
     if (out.evicted) {
       if (lvl <= 1)
         on_private_evict(core, lvl, *out.evicted, /*propagate_dirty=*/false);
@@ -429,6 +441,14 @@ void CoherentHierarchy::prefetch_fill(unsigned core,
     return out.filled;
   };
   if (!fill_if_absent_at(target)) return;
+  // An L2 fill gives this core's L1 copy, if any, its L2 peer. The sharer
+  // bit says whether one can exist: with L2 just missing the line, a
+  // private copy can only be in L1.
+  if (target == 1 && was_private) {
+    [[maybe_unused]] const bool in_l1 = cs.l1.set_peer(req.line, true);
+    SEMPERM_AUDIT_CHECK(in_l1, "core " << core << " holds line " << req.line
+                                       << " privately in neither level");
+  }
   // L2 prefetches also land in the LLC (the fill passes through it).
   if (target + 1 < level_cnt) fill_if_absent_at(target + 1);
 
@@ -580,10 +600,18 @@ void CoherentHierarchy::audit_line(Addr line) const {
     SEMPERM_AUDIT_CHECK(c < cores(), "line " << line
                                              << " has a sharer bit for core "
                                              << c << " of " << cores());
+    const std::optional<bool> peer = cores_[c].l1.peer_bit(line);
+    const bool in_l2 = cores_[c].l2.contains(line);
     SEMPERM_AUDIT_CHECK(
-        cores_[c].l1.contains(line) || cores_[c].l2.contains(line),
+        peer.has_value() || in_l2,
         "core " << c << " holds MESI state " << to_string(e.state_of(c))
                 << " for line " << line << " without a private copy");
+    // The L1 peer bit is exact: set iff this core's L2 holds the line too.
+    SEMPERM_AUDIT_CHECK(!peer.has_value() || *peer == in_l2,
+                        "core " << c << " L1 peer bit for line " << line
+                                << " is " << peer.value_or(false)
+                                << " but its L2 "
+                                << (in_l2 ? "holds" : "lacks") << " the line");
   }
   if (llc_ && !llc_->contains(line))
     SEMPERM_AUDIT_CHECK(
@@ -620,6 +648,14 @@ void CoherentHierarchy::audit_corrupt_state_for_test(Addr line,
   // Deliberately bypasses set_state/drop_sharer: no legality check, no
   // invariant upkeep. An invariant-breaking record must fail the audit.
   directory_[line] = DirEntry{sharers, owner, dirty};  // semperm-analyze: allow(audit-mesi-bypass) -- deliberate corruption seam for the audit tests: bypassing set_state IS the point
+}
+
+void CoherentHierarchy::audit_corrupt_peer_for_test(unsigned core, Addr line) {
+  SetAssocCache& l1 = cores_.at(core).l1;
+  const std::optional<bool> peer = l1.peer_bit(line);
+  SEMPERM_ASSERT_MSG(peer.has_value(),
+                     "cannot corrupt the peer bit of a line L1 lacks");
+  l1.set_peer(line, !*peer);
 }
 #endif
 

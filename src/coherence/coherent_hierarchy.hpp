@@ -140,6 +140,11 @@ class CoherentHierarchy {
   /// upkeep). A record that breaks an invariant must fail the next audit.
   void audit_corrupt_state_for_test(Addr line, std::uint64_t sharers,
                                     int owner, bool dirty);
+
+  /// Test seam: flip the peer bit of `line`'s way in `core`'s L1, behind
+  /// the L2 fills and evictions that keep it exact; the next audit of the
+  /// line must notice.
+  void audit_corrupt_peer_for_test(unsigned core, Addr line);
 #endif
 
  private:
@@ -192,7 +197,9 @@ class CoherentHierarchy {
   /// Handle a private-level fill eviction exactly like the single-core
   /// Hierarchy (a demand-fill dirty victim propagates outward; a
   /// prefetch-fill victim's dirty bit is dropped), then finalize MESI
-  /// state if the line left the private stack entirely.
+  /// state if the line left the private stack entirely. An L1 victim's
+  /// peer bit answers whether L2 still holds it; an L2 victim clears the
+  /// peer bit of its L1 copy.
   void on_private_evict(unsigned core, unsigned level,
                         const SetAssocCache::EvictedWay& ev,
                         bool propagate_dirty);

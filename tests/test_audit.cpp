@@ -169,6 +169,19 @@ TEST(SeededViolation, MesiDirtyWithoutOwnerDetected) {
   EXPECT_NE(msg.find("dirty without an E/M owner"), std::string::npos) << msg;
 }
 
+TEST(SeededViolation, CoherencePeerBitDriftDetected) {
+  CoherentHierarchy h(sandy_bridge(), 2);
+  const Addr line = 0x3000;
+  h.access_line(0, line, /*write=*/false);  // L1 and L2 both fill
+  ASSERT_EQ(h.l1(0).peer_bit(line), true);
+  EXPECT_NO_THROW(h.audit());
+
+  // The L1 copy forgets that L2 holds the line too.
+  h.audit_corrupt_peer_for_test(/*core=*/0, line);
+  const std::string msg = audit_error_of([&] { h.audit(); });
+  EXPECT_NE(msg.find("peer bit"), std::string::npos) << msg;
+}
+
 TEST(SeededViolation, UmqShadowDivergenceDetected) {
   NativeMem mem;
   memlayout::AddressSpace space;

@@ -283,6 +283,96 @@ TEST(CacheLiveCounters, DirtyLinesLeavingEveryWayAreWrittenBackOnce) {
   EXPECT_EQ(c.stats().writebacks, 4u);
 }
 
+// fill_missed is fill_line without the residency walk: on a stream of
+// access-then-fill-on-miss it must leave every statistic, eviction and
+// way identical to fill_line, dirty victims included.
+TEST(CacheFillMissed, MatchesFillLineAfterEveryMiss) {
+  SetAssocCache a("a", kEdgeBytes, 4);
+  SetAssocCache b("b", kEdgeBytes, 4);
+  std::uint64_t x = 12345;
+  for (int i = 0; i < 4000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    const Addr line = (x >> 33) % kEdgeUniverse;
+    const bool dirty = ((x >> 20) & 7) == 0;
+    const bool hit = a.access(line);
+    ASSERT_EQ(hit, b.access(line));
+    if (hit) continue;
+    const auto ea = a.fill_line(line, FillReason::kDemand, LineClass::kNormal,
+                                dirty);
+    const auto eb = b.fill_missed(line, FillReason::kDemand,
+                                  LineClass::kNormal, dirty);
+    ASSERT_EQ(ea.has_value(), eb.has_value()) << "access " << i;
+    if (ea) {
+      EXPECT_EQ(ea->line, eb->line);
+      EXPECT_EQ(ea->dirty, eb->dirty);
+    }
+  }
+  EXPECT_EQ(a.stats().evictions, b.stats().evictions);
+  EXPECT_EQ(a.stats().writebacks, b.stats().writebacks);
+  EXPECT_EQ(a.stats().demand_misses, b.stats().demand_misses);
+  for (Addr line = 0; line < kEdgeUniverse; ++line) {
+    EXPECT_EQ(a.contains(line), b.contains(line)) << line;
+    EXPECT_EQ(a.line_dirty(line), b.line_dirty(line)) << line;
+  }
+  b.audit();
+}
+
+// The peer bit is stored, carried and reported, never interpreted: it
+// rides through hits and refreshes, leaves with its way, and starts clear
+// on every fill that does not ask for it.
+TEST(CachePeerBit, TravelsWithItsWay) {
+  auto c = tiny();  // 4 sets x 2 ways; lines 0, 4, 8 share set 0
+  EXPECT_FALSE(c.set_peer(0, true));  // absent: nothing to mark
+  EXPECT_EQ(c.peer_bit(0), std::nullopt);
+  c.fill_missed(0, FillReason::kDemand, LineClass::kNormal, /*dirty=*/false,
+                /*peer=*/true);
+  EXPECT_EQ(c.peer_bit(0), true);
+  c.fill(4, FillReason::kDemand);
+  EXPECT_EQ(c.peer_bit(4), false);
+  EXPECT_TRUE(c.access(0));  // LRU move keeps the bit
+  c.fill(0, FillReason::kHeater);  // a refresh keeps it too
+  EXPECT_EQ(c.peer_bit(0), true);
+  EXPECT_TRUE(c.mark_dirty(0));
+  EXPECT_EQ(c.peer_bit(0), true);
+  EXPECT_TRUE(c.line_dirty(0));
+
+  // Line 0 is MRU; 4 is evicted first, then 0 carries its bit out.
+  auto ev = c.fill_line(8, FillReason::kDemand);
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->line, 4u);
+  EXPECT_FALSE(ev->peer);
+  ev = c.fill_line(12, FillReason::kDemand);
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->line, 0u);
+  EXPECT_TRUE(ev->peer);
+  EXPECT_TRUE(ev->dirty);
+
+  // set_peer flips only the bit: no hit, miss or LRU change.
+  const CacheStats before = c.stats();
+  EXPECT_TRUE(c.set_peer(8, true));
+  EXPECT_EQ(c.peer_bit(8), true);
+  EXPECT_TRUE(c.set_peer(8, false));
+  EXPECT_EQ(c.peer_bit(8), false);
+  EXPECT_EQ(c.stats().demand_hits, before.demand_hits);
+  EXPECT_EQ(c.stats().demand_misses, before.demand_misses);
+  ev = c.fill_line(16, FillReason::kDemand);  // 8 is still the LRU way
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->line, 8u);
+
+  // An invalidated or flushed way loses the bit with its line.
+  c.set_peer(12, true);
+  c.invalidate(12);
+  EXPECT_EQ(c.peer_bit(12), std::nullopt);
+  c.fill_line_if_absent(12, FillReason::kPrefetch, LineClass::kNormal,
+                        /*dirty=*/false, /*peer=*/true);
+  EXPECT_EQ(c.peer_bit(12), true);
+  c.flush();
+  EXPECT_EQ(c.peer_bit(12), std::nullopt);
+  c.fill(12, FillReason::kDemand);
+  EXPECT_EQ(c.peer_bit(12), false);
+  c.audit();
+}
+
 TEST(Cache, InvalidGeometryRejected) {
   EXPECT_THROW(SetAssocCache("bad", 100, 2), std::logic_error);   // not multiple
   EXPECT_THROW(SetAssocCache("bad", 1024, 0), std::logic_error);  // zero ways

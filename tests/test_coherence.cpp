@@ -14,6 +14,7 @@
 #include "cachesim/arch.hpp"
 #include "coherence/coherent_hierarchy.hpp"
 #include "coherence/mesi.hpp"
+#include "common/rng.hpp"
 
 namespace semperm::coherence {
 namespace {
@@ -270,6 +271,44 @@ TEST(CoherentHierarchyTest, ReportMentionsCoresAndCoherence) {
   const std::string r = h.report();
   EXPECT_NE(r.find("coherent hierarchy, 2 cores"), std::string::npos);
   EXPECT_NE(r.find("coherence:"), std::string::npos);
+}
+
+// The L1 peer bit ("this core's L2 holds the line too") must stay exact
+// through demand fills, both prefetchers' fills, L1 and L2 evictions,
+// invalidations, interventions and pollutes, on KNL (no LLC) and on an
+// inclusive-LLC profile. The universe exceeds L2 so L2 evicts constantly.
+void expect_peer_bits_exact(const cachesim::ArchProfile& arch,
+                            std::uint64_t seed) {
+  constexpr unsigned kCores = 4;
+  CoherentHierarchy h(arch, kCores);
+  const std::size_t universe = 3 * arch.l2.size_bytes / kCacheLine;
+  Rng rng(seed);
+  Addr cursor = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 20'000; ++i) {
+      // Short sequential runs arm the streamer and the next-line unit.
+      if (rng.below(8) == 0) cursor = rng.below(universe);
+      const unsigned core = static_cast<unsigned>(rng.below(kCores));
+      h.access_line(core, cursor++ % universe, rng.chance(0.2));
+    }
+    if (round % 2 == 1)
+      h.pollute(static_cast<unsigned>(round % kCores), std::size_t{1} << 20);
+    for (unsigned c = 0; c < kCores; ++c)
+      for (Addr line = 0; line < universe; ++line)
+        if (const auto peer = h.l1(c).peer_bit(line)) {
+          ASSERT_EQ(*peer, h.l2(c).contains(line))
+              << arch.name << " core " << c << " line " << line << " round "
+              << round;
+        }
+  }
+}
+
+TEST(CoherentHierarchyTest, L1PeerBitTracksL2OnKnl) {
+  expect_peer_bits_exact(cachesim::knl(), 0x9ee1);
+}
+
+TEST(CoherentHierarchyTest, L1PeerBitTracksL2WithInclusiveLlc) {
+  expect_peer_bits_exact(sandy_bridge(), 0x9ee2);
 }
 
 }  // namespace
